@@ -61,7 +61,7 @@ def test_e05_series(benchmark):
 
 
 def test_e05_ordering_ablation(benchmark):
-    """Ablation: resolution ordering inside BatchRepair (DESIGN.md #3)."""
+    """Ablation: resolution ordering inside BatchRepair (``BatchRepair.ORDERINGS``)."""
 
     def compute():
         generator, clean, noise = _workload(0.05)

@@ -1,6 +1,6 @@
 """Shared fixtures and helpers for the benchmark harness.
 
-Every experiment E1–E12 of DESIGN.md has one module in this directory.
+Every experiment E1–E18 has one ``bench_eNN_*.py`` module in this directory.
 Benchmarks are kept laptop-sized (thousands of tuples, not millions): the
 goal is to reproduce the *shape* of the published series — who wins, how
 cost scales, where crossovers fall — not absolute wall-clock numbers.

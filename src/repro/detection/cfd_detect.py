@@ -26,18 +26,21 @@ to the sequential columnar path; ``REPRO_ENGINE`` supplies a
 process-wide default so whole test runs can be forced through the engine.
 
 :class:`SQLCFDDetector` instead *generates SQL* — the approach of Fan et
-al.'s Semandaq system — and executes it on the library's SQL engine.  All
-paths return the same :class:`~repro.constraints.violations.ViolationReport`.
+al.'s Semandaq system — and runs it as code-native plans on the library's
+SQL engine, matching result rows back to tuple ids on codes.  All paths
+return the same :class:`~repro.constraints.violations.ViolationReport`.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import defaultdict
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import obs
 from repro.constraints.cfd import CFD
-from repro.constraints.tableau import PatternTuple, is_wildcard
+from repro.constraints.tableau import PatternTuple
 from repro.constraints.violations import CFDViolation, ViolationReport
 from repro.detection.columnar import NULL_CODE, CompiledPattern, compile_tableau
 from repro.engine.detect import ChunkedCFDEngine
@@ -46,7 +49,8 @@ from repro.relational.database import Database
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 from repro.relational.sql.engine import SQLEngine
-from repro.relational.types import is_null
+from repro.relational.sql.tokenizer import sql_literal
+from repro.relational.types import AttributeType, is_null, typed_match
 
 
 class CFDDetector:
@@ -122,97 +126,79 @@ class CFDDetector:
                                           compiled: CompiledPattern) -> list[CFDViolation]:
         if not compiled.rhs_tests:
             return []
-        pattern = compiled.pattern
-        violations = []
-        for tid in self._relation.tids():
-            if compiled.lhs_matches(tid) and not compiled.rhs_constants_match(tid):
-                violations.append(CFDViolation(cfd, pattern, (tid,)))
-        return violations
+        return [CFDViolation(cfd, compiled.pattern, (tid,)) for tid in self._relation.tids()
+                if compiled.lhs_matches(tid) and not compiled.rhs_constants_match(tid)]
 
     def _group_violations_columnar(self, cfd: CFD,
                                    compiled: CompiledPattern) -> list[CFDViolation]:
         if not compiled.variable_rhs:
             return []
-        index = self._index_for(cfd.lhs)
-        violations: list[CFDViolation] = []
-        for key, tids in index.bucket_items():
-            if len(tids) < 2 or NULL_CODE in key:
-                continue
-            matching = compiled.group_matching(tids)
-            if matching is None:
-                continue
-            by_rhs: dict[Any, list[int]] = defaultdict(list)
-            for tid in matching:
-                by_rhs[compiled.rhs_key(tid)].append(tid)
-            if len(by_rhs) <= 1:
-                continue
-            if self._enumerate_pairs:
-                buckets = list(by_rhs.values())
-                for i, bucket in enumerate(buckets):
-                    for other in buckets[i + 1:]:
-                        for tid_a in bucket:
-                            for tid_b in other:
-                                violations.append(
-                                    CFDViolation(cfd, compiled.pattern, (tid_a, tid_b)))
-            else:
-                violations.append(
-                    CFDViolation(cfd, compiled.pattern, tuple(sorted(matching))))
-        return violations
+        return self._group_violations_by(cfd, compiled.pattern, lambda key: NULL_CODE in key,
+                                         compiled.lhs_matches, compiled.rhs_key)
 
-    # -- row path: single-tuple violations ------------------------------------------
+    # -- row path --------------------------------------------------------------------
 
     def _single_tuple_violations(self, cfd: CFD, pattern: PatternTuple) -> list[CFDViolation]:
         constant_rhs = [a for a in cfd.rhs if pattern.is_constant_on(a)]
         if not constant_rhs:
             return []
-        violations = []
-        for row in self._relation:
-            if not pattern.matches(row, cfd.lhs):
-                continue
-            if not pattern.matches(row, constant_rhs):
-                violations.append(CFDViolation(cfd, pattern, (row.tid,)))
-        return violations
-
-    # -- row path: group violations --------------------------------------------------
+        return [CFDViolation(cfd, pattern, (row.tid,)) for row in self._relation
+                if pattern.matches(row, cfd.lhs) and not pattern.matches(row, constant_rhs)]
 
     def _group_violations(self, cfd: CFD, pattern: PatternTuple) -> list[CFDViolation]:
         variable_rhs = [a for a in cfd.rhs if not pattern.is_constant_on(a)]
         if not variable_rhs:
             return []
-        index = self._index_for(cfd.lhs)
+        tuple_of = self._relation.tuple
+        return self._group_violations_by(
+            cfd, pattern, lambda key: any(is_null(value) for value in key),
+            lambda tid: pattern.matches(tuple_of(tid), cfd.lhs),
+            lambda tid: tuple_of(tid).project(variable_rhs))
+
+    # -- shared --------------------------------------------------------------------
+
+    def _group_violations_by(self, cfd: CFD, pattern: PatternTuple,
+                             null_key: Callable[[tuple], bool],
+                             lhs_matches: Callable[[int], bool],
+                             rhs_key: Callable[[int], Any]) -> list[CFDViolation]:
+        """Scan the LHS index: each non-NULL group whose matching tuples disagree."""
         violations: list[CFDViolation] = []
-        for key, tids in index.bucket_items():
-            if len(tids) < 2:
+        for key, tids in self._index_for(cfd.lhs).bucket_items():
+            if len(tids) < 2 or null_key(key):
                 continue
-            if any(is_null(value) for value in key):
-                continue
-            matching = [tid for tid in tids
-                        if pattern.matches(self._relation.tuple(tid), cfd.lhs)]
-            if len(matching) < 2:
-                continue
-            by_rhs: dict[tuple[Any, ...], list[int]] = defaultdict(list)
-            for tid in matching:
-                by_rhs[self._relation.tuple(tid).project(variable_rhs)].append(tid)
-            if len(by_rhs) <= 1:
-                continue
-            if self._enumerate_pairs:
-                buckets = list(by_rhs.values())
-                for i, bucket in enumerate(buckets):
-                    for other in buckets[i + 1:]:
-                        for tid_a in bucket:
-                            for tid_b in other:
-                                violations.append(CFDViolation(cfd, pattern, (tid_a, tid_b)))
-            else:
-                violations.append(CFDViolation(cfd, pattern, tuple(sorted(matching))))
+            by_rhs: dict[Any, list[int]] = defaultdict(list)
+            for tid in tids:
+                if lhs_matches(tid):
+                    by_rhs[rhs_key(tid)].append(tid)
+            if len(by_rhs) > 1:
+                violations.extend(self._group_violation(cfd, pattern, by_rhs))
         return violations
 
+    def _group_violation(self, cfd: CFD, pattern: PatternTuple,
+                         by_rhs: dict[Any, list[int]]) -> list[CFDViolation]:
+        """One LHS group's violations: the whole group, or each disagreeing pair."""
+        if not self._enumerate_pairs:
+            members = sorted(tid for tids in by_rhs.values() for tid in tids)
+            return [CFDViolation(cfd, pattern, tuple(members))]
+        buckets = list(by_rhs.values())
+        return [CFDViolation(cfd, pattern, (tid_a, tid_b))
+                for i, bucket in enumerate(buckets) for other in buckets[i + 1:]
+                for tid_a in bucket for tid_b in other]
+
     def _index_for(self, attributes: tuple[str, ...]) -> HashIndex:
-        if attributes not in self._indexes or self._indexes[attributes].is_stale():
-            self._indexes[attributes] = HashIndex(self._relation, list(attributes),
-                                                  use_columns=self._use_columns)
-        elif obs.enabled:
-            obs.inc("cache.index.reuse")
-        return self._indexes[attributes]
+        return _cached_index(self._indexes, attributes, self._relation, attributes,
+                             self._use_columns)
+
+
+def _cached_index(cache: dict, key: Any, relation: Relation, attributes: Sequence[str],
+                  use_columns: bool = True) -> HashIndex:
+    """The cached index under *key*, rebuilt when missing, stale or for another relation."""
+    index = cache.get(key)
+    if index is None or index.relation is not relation or index.is_stale():
+        index = cache[key] = HashIndex(relation, list(attributes), use_columns=use_columns)
+    elif obs.enabled:
+        obs.inc("cache.index.reuse")
+    return index
 
 
 def detect_cfd_violations(relation: Relation, cfds: Sequence[CFD],
@@ -229,63 +215,73 @@ def detect_cfd_violations(relation: Relation, cfds: Sequence[CFD],
 class SQLCFDDetector:
     """SQL-generation based CFD detection (the Semandaq approach).
 
-    For every CFD and pattern two queries are generated:
-
-    * ``Q_single`` selects the tuples matching the pattern's LHS constants
-      whose RHS disagrees with the pattern's RHS constants;
-    * ``Q_group`` groups the tuples matching the LHS constants by the LHS
-      attributes and keeps groups with more than one distinct RHS value.
-
-    The queries are executed on :class:`~repro.relational.sql.engine.SQLEngine`;
-    the group query's keys are mapped back to tuple ids with a hash index
-    so the report matches the direct detector's exactly.
+    Per CFD and pattern, ``Q_single`` selects the tuples matching the LHS
+    constants whose RHS disagrees with the RHS constants, and ``Q_group``
+    keeps the LHS groups with more than one distinct RHS value.  Both run
+    as code-native plans (constant tests, ``IS NOT NULL`` guards and
+    ``(A <> c OR A IS NULL)`` are dictionary-code sets); a constant on a
+    non-STRING column is written as the typed literal it ``≍``-matches.
+    Match-back maps each result row's LHS key to its :class:`HashIndex`
+    bucket and re-tests the tids with the shared :class:`CompiledPattern`.
+    The SQL engine and indexes are kept across :meth:`detect` calls.  NULLs
+    follow SQL: a group whose only disagreement is a NULL RHS is no
+    violation here (``COUNT(DISTINCT ...)`` skips NULLs), unlike for
+    :class:`CFDDetector`.
     """
 
     def __init__(self, database: Database, cfds: Sequence[CFD]) -> None:
         self._database = database
         self._engine = SQLEngine(database)
         self._cfds = list(cfds)
+        #: (relation name, LHS) → index, reused across detect() calls.
+        self._indexes: dict[tuple[str, tuple[str, ...]], HashIndex] = {}
 
     # -- SQL generation -----------------------------------------------------------
 
-    @staticmethod
-    def _quote(value: Any) -> str:
-        return "'" + str(value).replace("'", "''") + "'"
+    def _tests(self, cfd: CFD, attribute: str, constant: Any) -> tuple[str, str] | None:
+        """SQL ``(t[A] ≍ c, t[A] is not NULL and not ≍ c)``; ``None`` if no value can match."""
+        column = f"t.{attribute}"
+        attr_type = self._database.relation(cfd.relation_name).schema.attribute(attribute).type
+        value = str(constant) if attr_type is AttributeType.STRING \
+            else typed_match(constant, attr_type)
+        if is_null(value):
+            return None
+        if isinstance(value, float) and math.isinf(value):  # no infinity literal
+            test = f"{column} {'>' if value > 0 else '<'} " \
+                   f"{sql_literal(math.copysign(sys.float_info.max, value))}"
+            return test, f"NOT {test}"
+        return f"{column} = {sql_literal(value)}", f"{column} <> {sql_literal(value)}"
+
+    def _lhs_conditions(self, cfd: CFD, pattern: PatternTuple) -> list[str] | None:
+        """The LHS constant tests; ``None`` when no tuple can match them."""
+        tests = [self._tests(cfd, attribute, pattern.constant(attribute))
+                 for attribute in cfd.lhs if pattern.is_constant_on(attribute)]
+        return None if None in tests else [match for match, _ in tests]
 
     def single_tuple_sql(self, cfd: CFD, pattern: PatternTuple) -> str | None:
         """The single-tuple violation query, or ``None`` when not applicable."""
         constant_rhs = [a for a in cfd.rhs if pattern.is_constant_on(a)]
-        if not constant_rhs:
+        conditions = self._lhs_conditions(cfd, pattern) if constant_rhs else None
+        if conditions is None:
             return None
-        conditions = [
-            f"t.{attribute} = {self._quote(pattern.constant(attribute))}"
-            for attribute in cfd.lhs if pattern.is_constant_on(attribute)
-        ]
-        rhs_disagrees = [
-            f"(t.{attribute} <> {self._quote(pattern.constant(attribute))}"
-            f" OR t.{attribute} IS NULL)"
-            for attribute in constant_rhs
-        ]
-        where = " AND ".join(conditions + ["(" + " OR ".join(rhs_disagrees) + ")"]) \
-            if conditions else "(" + " OR ".join(rhs_disagrees) + ")"
-        return f"SELECT t.* FROM {cfd.relation_name} t WHERE {where}"
+        rhs_tests = [(a, self._tests(cfd, a, pattern.constant(a))) for a in constant_rhs]
+        if all(tests is not None for _, tests in rhs_tests):  # else every LHS match disagrees
+            conditions.append("(" + " OR ".join(f"({tests[1]} OR t.{a} IS NULL)"
+                                                for a, tests in rhs_tests) + ")")
+        where = f" WHERE {' AND '.join(conditions)}" if conditions else ""
+        return f"SELECT t.* FROM {cfd.relation_name} t{where}"
 
     def group_sql(self, cfd: CFD, pattern: PatternTuple) -> str | None:
         """The group (pair) violation query, or ``None`` when not applicable."""
         variable_rhs = [a for a in cfd.rhs if not pattern.is_constant_on(a)]
-        if not variable_rhs:
+        conditions = self._lhs_conditions(cfd, pattern) if variable_rhs else None
+        if conditions is None:
             return None
-        conditions = [
-            f"t.{attribute} = {self._quote(pattern.constant(attribute))}"
-            for attribute in cfd.lhs if pattern.is_constant_on(attribute)
-        ]
         null_guards = [f"t.{attribute} IS NOT NULL" for attribute in cfd.lhs]
         where = " AND ".join(conditions + null_guards)
         group_cols = ", ".join(f"t.{attribute}" for attribute in cfd.lhs)
         select_cols = ", ".join(f"t.{a} AS {a}" for a in cfd.lhs)
-        having = " OR ".join(
-            f"COUNT(DISTINCT t.{attribute}) > 1" for attribute in variable_rhs
-        )
+        having = " OR ".join(f"COUNT(DISTINCT t.{a}) > 1" for a in variable_rhs)
         where_clause = f" WHERE {where}" if where else ""
         return (f"SELECT {select_cols}, COUNT(*) AS cnt FROM {cfd.relation_name} t"
                 f"{where_clause} GROUP BY {group_cols} HAVING {having}")
@@ -308,49 +304,50 @@ class SQLCFDDetector:
         report_name = next(iter(relation_names)) if len(relation_names) == 1 else "multiple"
         total = sum(len(self._database.relation(name)) for name in relation_names)
         report = ViolationReport(report_name, tuples_checked=total)
-
-        for cfd in self._cfds:
-            relation = self._database.relation(cfd.relation_name)
-            index = HashIndex(relation, list(cfd.lhs))
-            for pattern in cfd.tableau:
-                single_sql = self.single_tuple_sql(cfd, pattern)
-                if single_sql is not None:
-                    result = self._engine.query(single_sql)
-                    matched = self._match_back_single(relation, cfd, pattern, result)
-                    report.extend(matched)
-                group_sql = self.group_sql(cfd, pattern)
-                if group_sql is not None:
-                    result = self._engine.query(group_sql)
-                    report.extend(self._match_back_groups(relation, index, cfd, pattern, result))
-        if obs.enabled:
-            obs.inc("detect.cfd.violations", len(report.violations))
+        with obs.span("detect.sql", relation=report_name):
+            for cfd in self._cfds:
+                relation = self._database.relation(cfd.relation_name)
+                index = _cached_index(self._indexes, (relation.name.lower(), cfd.lhs),
+                                      relation, cfd.lhs)
+                for compiled in compile_tableau(cfd, relation):
+                    pattern = compiled.pattern
+                    single_sql = self.single_tuple_sql(cfd, pattern)
+                    if single_sql is not None:
+                        report.extend(CFDViolation(cfd, pattern, (tid,)) for tid in
+                                      self._match_back_single(index, compiled, cfd,
+                                                              self._query(single_sql)))
+                    group_sql = self.group_sql(cfd, pattern)
+                    if group_sql is not None:
+                        report.extend(self._match_back_groups(index, compiled, cfd,
+                                                              self._query(group_sql)))
+            if obs.enabled:
+                obs.inc("detect.cfd.violations", len(report.violations))
         return report
 
-    def _match_back_single(self, relation: Relation, cfd: CFD, pattern: PatternTuple,
+    def _query(self, sql: str) -> Relation:
+        result = self._engine.query(sql)
+        if obs.enabled:
+            obs.inc(f"detect.sql.plan.{self._engine.last_plan}")
+        return result
+
+    @staticmethod
+    def _match_back_single(index: HashIndex, compiled: CompiledPattern, cfd: CFD,
+                           result: Relation) -> list[int]:
+        """Tids of the single-tuple query's rows, in tid order."""
+        positions = result.schema.positions(cfd.lhs)
+        keys = {tuple(values[p] for p in positions) for _, values in result.rows_items()}
+        return sorted(tid for key in keys for tid in index.lookup_view(key)
+                      if compiled.lhs_matches(tid) and not compiled.rhs_constants_match(tid))
+
+    @staticmethod
+    def _match_back_groups(index: HashIndex, compiled: CompiledPattern, cfd: CFD,
                            result: Relation) -> list[CFDViolation]:
-        """Map single-tuple query rows back to tuple ids by value equality."""
+        """One violation per result group whose matching tuples disagree."""
+        width = len(cfd.lhs)
         violations = []
-        wanted = {tuple(row.values) for row in result}
-        if not wanted:
-            return violations
-        for row in relation:
-            if tuple(row.values) in wanted and pattern.matches(row, cfd.lhs) \
-                    and not pattern.matches(row, [a for a in cfd.rhs if pattern.is_constant_on(a)]):
-                violations.append(CFDViolation(cfd, pattern, (row.tid,)))
+        for _, values in result.rows_items():
+            matching = compiled.group_matching(sorted(index.lookup_view(values[:width])))
+            if matching is not None and compiled.rhs_disagrees(matching):
+                violations.append(CFDViolation(cfd, compiled.pattern, tuple(matching)))
         return violations
 
-    def _match_back_groups(self, relation: Relation, index: HashIndex, cfd: CFD,
-                           pattern: PatternTuple, result: Relation) -> list[CFDViolation]:
-        variable_rhs = [a for a in cfd.rhs if not pattern.is_constant_on(a)]
-        violations = []
-        for row in result:
-            key = tuple(row[a] for a in cfd.lhs)
-            tids = sorted(index.lookup(key))
-            matching = [tid for tid in tids
-                        if pattern.matches(relation.tuple(tid), cfd.lhs)]
-            if len(matching) < 2:
-                continue
-            distinct_rhs = {relation.tuple(tid).project(variable_rhs) for tid in matching}
-            if len(distinct_rhs) > 1:
-                violations.append(CFDViolation(cfd, pattern, tuple(matching)))
-        return violations

@@ -27,7 +27,7 @@ the execution path always uses the anti-join.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro import obs
 from repro.constraints.cind import CIND
@@ -38,6 +38,7 @@ from repro.engine.detect import ChunkedCINDEngine
 from repro.engine.executor import resolve_pool
 from repro.relational.database import Database
 from repro.relational.relation import Relation
+from repro.relational.sql.tokenizer import sql_literal
 from repro.relational.types import is_null
 
 
@@ -182,18 +183,14 @@ class CINDDetector:
 
     # -- SQL text (reference output, matching the Semandaq demo) --------------------
 
-    @staticmethod
-    def _quote(value: Any) -> str:
-        return "'" + str(value).replace("'", "''") + "'"
-
     def reference_sql(self, cind: CIND) -> str:
         """The NOT EXISTS query Semandaq would issue for *cind* (reference only)."""
         lhs_conditions = [
-            f"l.{attribute} = {self._quote(value)}"
+            f"l.{attribute} = {sql_literal(str(value))}"
             for attribute, value in cind.lhs_pattern.constants().items()
         ]
         rhs_conditions = [
-            f"r.{attribute} = {self._quote(value)}"
+            f"r.{attribute} = {sql_literal(str(value))}"
             for attribute, value in cind.rhs_pattern.constants().items()
         ]
         correspondence = [

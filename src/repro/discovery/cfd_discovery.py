@@ -14,9 +14,9 @@ the tutorial mentions (§2):
   ``X → A`` that does *not* hold globally, try conditioning on a constant
   pattern for one attribute ``B ∈ X``; if the FD holds on the subset
   matching ``B = b`` with enough support, the CFD
-  ``(X → A, (B=b, _ ... ‖ _))`` is emitted.  This is a pragmatic subset of
-  full CTANE (which explores arbitrary pattern tableaux); DESIGN.md calls
-  out the simplification.
+  ``(X → A, (B=b, _ ... ‖ _))`` is emitted.  This is a deliberate,
+  pragmatic subset of full CTANE, which explores arbitrary pattern
+  tableaux.
 
 Both procedures run on the columnar substrate by default: candidate FDs
 are validated on cached stripped partitions

@@ -134,17 +134,8 @@ class Comparison(Expression):
     right: Expression
 
     def evaluate(self, context: EvaluationContext) -> Any:
-        left = self.left.evaluate(context)
-        right = self.right.evaluate(context)
-        if is_null(left) or is_null(right):
-            return NULL
-        if self.operator not in _COMPARISONS:
-            raise SQLExecutionError(f"unknown comparison operator {self.operator!r}")
-        if self.operator in ("=", "!=", "<>"):
-            result = _COMPARISONS[self.operator](_normalize(left), _normalize(right))
-        else:
-            result = _COMPARISONS[self.operator](left, right)
-        return result
+        return compare_values(self.operator, self.left.evaluate(context),
+                              self.right.evaluate(context))
 
     def references(self) -> set[str]:
         return self.left.references() | self.right.references()
@@ -153,13 +144,19 @@ class Comparison(Expression):
         return f"({self.left} {self.operator} {self.right})"
 
 
-def _normalize(value: Any) -> Any:
-    """Make int/float comparisons symmetric (1 == 1.0)."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return float(value)
-    return value
+def compare_values(operator: str, left: Any, right: Any) -> Any:
+    """SQL comparison of two values: a bool, or NULL (UNKNOWN) if either is NULL.
+
+    The single definition of ``=``/``<>``/``<`` etc., shared by
+    :class:`Comparison` and the dictionary-code push-down that compiles
+    comparisons to code sets.
+    """
+    if is_null(left) or is_null(right):
+        return NULL
+    if operator not in _COMPARISONS:
+        raise SQLExecutionError(f"unknown comparison operator {operator!r}")
+    # Python compares int and float exactly (1 == 1.0, but 2**53 + 1 != 2.0**53)
+    return _COMPARISONS[operator](left, right)
 
 
 @dataclass(frozen=True)
@@ -270,7 +267,7 @@ class InList(Expression):
             if is_null(other):
                 saw_unknown = True
                 continue
-            if _normalize(other) == _normalize(value):
+            if other == value:
                 return False if self.negated else True
         if saw_unknown:
             return NULL

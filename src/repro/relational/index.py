@@ -112,6 +112,10 @@ class HashIndex:
     # -- key encoding ------------------------------------------------------
 
     @property
+    def relation(self) -> Relation:
+        return self._relation
+
+    @property
     def attribute_names(self) -> list[str]:
         return list(self._attribute_names)
 

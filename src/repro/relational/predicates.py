@@ -24,6 +24,12 @@ dependency):
   dictionary-order view (:meth:`~repro.relational.columns.Column.order`)
   under the same :func:`~repro.relational.types.sort_key` total order
   the row-at-a-time comparisons use.  Also a per-query snapshot.
+* :func:`null_code_set` — SQL ``IS [NOT] NULL``: ``{NULL_CODE}``, or
+  every non-NULL code of the current dictionary.
+* :func:`comparison_code_set` — any other ``=`` / ``<>`` against a
+  literal (numeric columns, mixed types): one pass over the dictionary
+  with the row path's own :func:`~repro.relational.expressions.compare_values`,
+  so each distinct value is compared once instead of once per tuple.
 """
 
 from __future__ import annotations
@@ -31,10 +37,11 @@ from __future__ import annotations
 from typing import Any, Hashable, Iterable
 
 from repro.relational.columns import NULL_CODE, Column
+from repro.relational.expressions import compare_values
 from repro.relational.types import constants_equal, is_null
 
 __all__ = ["constant_code_set", "equality_code_set", "range_code_set",
-           "RANGE_OPERATORS"]
+           "null_code_set", "comparison_code_set", "RANGE_OPERATORS"]
 
 #: the comparison operators :func:`range_code_set` compiles.
 RANGE_OPERATORS = ("<", "<=", ">", ">=")
@@ -85,3 +92,26 @@ def range_code_set(column: Column, operator: str, bound: Any) -> set[int]:
     if is_null(bound):
         return set()
     return column.order().codes_in_range(operator, bound)
+
+
+def null_code_set(column: Column, negated: bool = False) -> set[int]:
+    """The codes of *column* selected by ``col IS [NOT] NULL``.
+
+    ``IS NULL`` is the NULL code alone; ``IS NOT NULL`` is every other code
+    of the current dictionary (a per-query snapshot).
+    """
+    if negated:
+        return set(range(1, len(column.values)))
+    return {NULL_CODE}
+
+
+def comparison_code_set(column: Column, operator: str, literal: Any) -> set[int]:
+    """The codes of *column* whose value satisfies ``value <operator> literal``.
+
+    Evaluates :func:`~repro.relational.expressions.compare_values` once per
+    distinct value, so the selected set is by construction what the
+    row-at-a-time path keeps; NULL cells (UNKNOWN) are never selected.
+    """
+    values = column.values
+    return {code for code in range(1, len(values))
+            if compare_values(operator, values[code], literal) is True}

@@ -9,10 +9,13 @@ relation's dictionary code arrays end to end.
 * **Filter** — every WHERE conjunct must compile to a ``(position,
   allowed code set)`` pair (:func:`compile_filter`): string equality /
   ``IN`` / their negations via :func:`~repro.relational.predicates.equality_code_set`,
-  and ``<`` ``<=`` ``>`` ``>=`` (and the parser's desugared ``BETWEEN``)
+  ``<`` ``<=`` ``>`` ``>=`` (and the parser's desugared ``BETWEEN``)
   via :func:`~repro.relational.predicates.range_code_set` on the column's
-  dictionary-order view.  Surviving tuples are selected by integer set
-  membership — no row objects, no binding dicts.
+  dictionary-order view, ``IS [NOT] NULL``, any other ``=`` / ``<>``
+  against a literal (one pass over the dictionary), and an ``OR`` whose
+  operands all test the same column (the union of their sets).
+  Surviving tuples are selected by integer set membership — no row
+  objects, no binding dicts.
 * **Group** — GROUP BY columns become schema positions; groups are keyed
   by code tuples straight off the code arrays (codes are assigned by
   value equality, so code keys and value keys partition identically, in
@@ -28,9 +31,10 @@ relation's dictionary code arrays end to end.
 
 :func:`compile_plan` returns ``None`` whenever the statement needs more
 than this pipeline — joins, multiple tables, residual (expression-valued)
-WHERE conjuncts, non-column GROUP BY keys, aggregates over expressions —
-and the executor falls back to the retained row path, which produces
-byte-identical results (the randomized SQL parity suite pins this down).
+WHERE conjuncts such as an ``OR`` across two columns, non-column GROUP BY
+keys, aggregates over expressions — and the executor falls back to the
+retained row path, which produces byte-identical results (the randomized
+SQL parity suite pins this down).
 
 The compiled plan is deliberately split from its execution: the scan
 itself is the picklable ``sql_scan`` worker handler
@@ -55,11 +59,15 @@ from repro.relational.expressions import (
     Comparison,
     Expression,
     InList,
+    IsNull,
     Literal,
+    Or,
 )
 from repro.relational.predicates import (
     RANGE_OPERATORS,
+    comparison_code_set,
     equality_code_set,
+    null_code_set,
     range_code_set,
 )
 from repro.relational.sql.ast import (
@@ -77,7 +85,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: aggregate functions the code-native pipeline computes on codes.
 AGGREGATE_FUNCTIONS = ("count", "sum", "avg", "min", "max")
 
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+#: operator with its operands swapped (``1 < v`` is ``v > 1``).
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!=", "<>": "<>"}
 
 _MISSING = object()
 
@@ -152,6 +161,19 @@ def collect_aggregates(expression: Expression | None) -> list[AggregateCall]:
 
     walk(expression)
     return found
+
+
+def sum_values(function: str, values: Any) -> Any:
+    """``sum(values)`` for SUM/AVG, raising a typed error on non-numbers.
+
+    Shared by the row and code paths, so ``SUM`` over a string column
+    fails the same way on both.
+    """
+    try:
+        return sum(values)
+    except TypeError as exc:
+        raise SQLExecutionError(
+            f"{function.upper()} needs numeric values: {exc}") from exc
 
 
 def rewrite_aggregates(expression: Expression,
@@ -265,15 +287,15 @@ def _as_string_constants(conjunct: Expression, table: TableRef, single_table: bo
     return None
 
 
-def _as_range(conjunct: Expression, table: TableRef, single_table: bool,
-              relation: "Relation") -> tuple[int, str, Any] | None:
-    """``(position, operator, bound)`` of a range push-down.
+def _as_comparison(conjunct: Expression, table: TableRef, single_table: bool,
+                   relation: "Relation") -> tuple[int, str, Any] | None:
+    """``(position, operator, literal)`` of a column-vs-literal comparison.
 
-    Any column type qualifies: the row path evaluates ``<`` etc. in the
-    ``sort_key`` total order, which is exactly the order the column's
-    dictionary-order view bisects.
+    Any column type qualifies: ranges are evaluated in the ``sort_key``
+    total order the column's dictionary-order view bisects, ``=`` / ``<>``
+    by the row path's own comparison over the dictionary.
     """
-    if not isinstance(conjunct, Comparison) or conjunct.operator not in RANGE_OPERATORS:
+    if not isinstance(conjunct, Comparison) or conjunct.operator not in _FLIPPED:
         return None
     for ref, literal, operator in ((conjunct.left, conjunct.right, conjunct.operator),
                                    (conjunct.right, conjunct.left,
@@ -293,19 +315,42 @@ def compile_filter(relation: "Relation", table: TableRef, conjunct: Expression,
                    single_table: bool) -> tuple[int, set[int]] | None:
     """Compile one WHERE conjunct to a ``(position, allowed codes)`` filter.
 
-    Returns ``None`` when the conjunct must stay on the residual
-    (expression-valued) path.  Results — rows *and* their order — are
-    identical either way; only execution changes.
+    Compiles ``=`` / ``<>`` / ``IN`` / ranges against literals,
+    ``IS [NOT] NULL``, and an ``OR`` whose operands all compile on the
+    same column (the union of their code sets: a row passes an OR exactly
+    when it passes one operand).  Returns ``None`` when the conjunct must
+    stay on the residual (expression-valued) path.  Results — rows *and*
+    their order — are identical either way; only execution changes.
     """
     store = relation.columns
     equality = _as_string_constants(conjunct, table, single_table, relation)
     if equality is not None:
         position, constants, negated = equality
         return position, equality_code_set(store.column_at(position), constants, negated)
-    comparison = _as_range(conjunct, table, single_table, relation)
+    comparison = _as_comparison(conjunct, table, single_table, relation)
     if comparison is not None:
         position, operator, bound = comparison
-        return position, range_code_set(store.column_at(position), operator, bound)
+        column = store.column_at(position)
+        if operator in RANGE_OPERATORS:
+            return position, range_code_set(column, operator, bound)
+        return position, comparison_code_set(column, operator, bound)
+    if isinstance(conjunct, IsNull) and isinstance(conjunct.operand, ColumnRef):
+        position = _resolved_position(conjunct.operand, table, single_table, relation)
+        if position is None:
+            return None
+        return position, null_code_set(store.column_at(position), conjunct.negated)
+    if isinstance(conjunct, Or):
+        union: set[int] = set()
+        positions: set[int] = set()
+        for operand in conjunct.operands:
+            compiled = compile_filter(relation, table, operand, single_table)
+            if compiled is None:
+                return None
+            positions.add(compiled[0])
+            union |= compiled[1]
+        if len(positions) != 1:
+            return None  # an OR across columns is no single-column code set
+        return positions.pop(), union
     return None
 
 
@@ -406,8 +451,11 @@ def compile_plan(database: "Database", statement: SelectStatement,
     for conjunct in flatten_conjuncts(statement.where):
         compiled = compile_filter(relation, table, conjunct, single_table=True)
         if compiled is None:
+            columns = sorted({ref.name.lower() for ref in _column_refs(conjunct)})
+            detail = (f" (OR across columns {', '.join(columns)})"
+                      if isinstance(conjunct, Or) and len(columns) > 1 else "")
             return _note(reasons,
-                         f"WHERE conjunct {conjunct} is not a code-set test")
+                         f"WHERE conjunct {conjunct} is not a code-set test{detail}")
         plan.filters.append(compiled)
 
     try:
@@ -831,10 +879,8 @@ def finalize_aggregate(spec: tuple, state: Any, relation: "Relation") -> Any:
         if not codes:
             return NULL
         values = column.values
-        if kind == "sum":
-            return sum(values[code] for code in codes)
-        decoded = [values[code] for code in codes]
-        return sum(decoded) / len(decoded)
+        total = sum_values(kind, (values[code] for code in codes))
+        return total if kind == "sum" else total / len(codes)
     if state is None:  # min | max over an empty / all-NULL group
         return NULL
     return column.values[state[1]]
@@ -1550,7 +1596,7 @@ def finalize_factorised(spec: tuple, state: Any, relations: tuple) -> Any:
             if not state:
                 return NULL
             values = relations[spec[1]].columns.column_at(spec[2]).values
-            total = sum(values[code] for code in state)
+            total = sum_values(kind, (values[code] for code in state))
             return total if kind == "sum" else total / len(state)
         total, count = state
         if not count:

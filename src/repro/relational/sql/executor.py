@@ -86,6 +86,7 @@ from repro.relational.sql.columnar import (
     multiway_query_payload,
     query_payload,
     rewrite_aggregates,
+    sum_values,
 )
 from repro.relational.types import NULL, AttributeType, is_null, sort_key
 
@@ -190,9 +191,9 @@ class _FromPlanner:
                                                          list[Expression]]:
         """Compile push-downable conjuncts on *table* to code-set filters.
 
-        String equality / ``IN`` (and their negations) on STRING columns
-        and range comparisons on any column compile to dictionary-code
-        sets via :func:`~repro.relational.sql.columnar.compile_filter`;
+        Conjuncts that :func:`~repro.relational.sql.columnar.compile_filter`
+        turns into dictionary-code sets (comparisons and ``IN`` against
+        literals, ``IS [NOT] NULL``, same-column ``OR``) filter the scan;
         everything else stays a residual conjunct, so results — rows
         *and* their order — are identical to the row-at-a-time path.
         With ``use_columns=False`` nothing is pushed down at all: the
@@ -1183,9 +1184,9 @@ class SQLExecutor:
         if not values:
             return NULL
         if function == "sum":
-            return sum(values)
+            return sum_values(function, values)
         if function == "avg":
-            return sum(values) / len(values)
+            return sum_values(function, values) / len(values)
         if function == "min":
             return min(values, key=sort_key)
         if function == "max":

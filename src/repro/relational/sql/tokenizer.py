@@ -3,11 +3,14 @@
 Splits SQL text into a list of :class:`Token` objects.  Keywords are
 case-insensitive; string literals use single quotes with ``''`` escaping;
 identifiers may be double-quoted to preserve case or include spaces.
+:func:`sql_literal` goes the other way, writing a value as literal text
+for generated queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import SQLSyntaxError
 
@@ -125,3 +128,23 @@ def _read_string(text: str, start: int) -> tuple[str, int]:
         parts.append(char)
         i += 1
     raise SQLSyntaxError("unterminated string literal", start)
+
+
+def sql_literal(value: Any) -> str:
+    """SQL text the parser reads back as a literal equal to *value*.
+
+    Strings are single-quoted with ``''`` escaping.  Numbers are written in
+    plain decimal, since the dialect has no exponent syntax, and booleans
+    as ``1`` / ``0`` (SQL ``=`` compares ``TRUE = 1``).  Infinite floats
+    have no literal.
+    """
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    if isinstance(value, float):
+        text = repr(value)
+        if "e" not in text:
+            return text
+        from decimal import Decimal  # rare: keep the import off the hot start-up path
+
+        return format(Decimal(value), "f")
+    return str(int(value))

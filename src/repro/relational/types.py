@@ -219,3 +219,24 @@ def constants_equal(left: Any, right: Any) -> bool:
     if left == right:
         return True
     return str(left) == str(right)
+
+
+def typed_match(constant: Any, attr_type: AttributeType) -> Any:
+    """The value of *attr_type* that ``≍``-matches *constant*, or NULL if none does.
+
+    ``v ≍ c`` holds when ``v == c`` or ``str(v) == str(c)``.  Within one
+    non-STRING type at most one value qualifies — *constant* coerced (for
+    a numeric or boolean constant, ``==`` is numeric equality) or the
+    parse of ``str(constant)`` when it prints back unchanged — so SQL
+    ``col = <that value>`` selects exactly the pattern's matches (a
+    ``'908'`` constant on an INTEGER column selects ``908``, a ``'0908'``
+    one selects nothing).
+    """
+    for candidate in (constant, str(constant)):
+        try:
+            value = coerce_value(candidate, attr_type)
+        except TypeMismatchError:
+            continue
+        if not is_null(value) and constants_equal(value, constant):
+            return value
+    return NULL

@@ -42,6 +42,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.engine.executor import ENGINES
+from repro.errors import ReproError
 from repro.relational.csvio import read_csv, relation_to_csv
 from repro.semandaq.session import SemandaqSession
 
@@ -101,9 +102,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    Library errors (bad constraints, SQL that does not parse or cannot
+    run, ...) print one ``error:`` line to stderr and exit with 1.
+    """
     parser = build_parser()
     arguments = parser.parse_args(argv)
+    try:
+        return _run(parser, arguments)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run(parser: argparse.ArgumentParser, arguments: argparse.Namespace) -> int:
     if arguments.constraints is None and not arguments.discover:
         if arguments.sql is None:
             parser.error("a constraints file is required unless --discover or --sql is given")

@@ -76,9 +76,11 @@ class SemandaqSession:
         self._task_timeout = task_timeout
         self._task_retries = task_retries
         self._database = database
-        # detector caches (so engine plans and worker pools survive across
-        # detect() calls); invalidated when constraints are registered.
+        # detector caches (so engine plans, worker pools, the SQL engine and
+        # LHS indexes survive across detect() calls); invalidated when
+        # constraints are registered.
         self._cfd_detectors: dict[str, CFDDetector] | None = None
+        self._sql_detector: SQLCFDDetector | None = None
         self._cind_detector: CINDDetector | None = None
         self._cfds: list[CFD] = []
         self._cinds: list[CIND] = []
@@ -114,6 +116,7 @@ class SemandaqSession:
             cfd.validate_against(self._database.relation(cfd.relation_name))
         self._cfds.extend(added)
         self._cfd_detectors = None
+        self._sql_detector = None
         # new CFDs may sharpen multiway-join variable ordering (FD hints);
         # rebuild the SQL engine lazily on the next query
         self._sql_engine = None
@@ -144,10 +147,17 @@ class SemandaqSession:
     def detect(self) -> ViolationReport:
         """Detect all violations of the registered constraints.
 
-        CFD detection is SQL-based (the demo paper's approach) unless the
-        session was created with an explicit ``engine``/``workers``, in
-        which case the direct columnar detector runs on the chunked
-        engine.
+        CFD detection is SQL-based (the demo paper's approach): the
+        session keeps one :class:`~repro.detection.cfd_detect.SQLCFDDetector`
+        across calls, whose generated queries run as code-native
+        dictionary-code plans and whose match-back maps result rows to
+        tids through cached LHS indexes on codes (rebuilt only after the
+        data changed).  Only an infinite-float RHS constant sends a
+        generated query to the row executor; ad-hoc :meth:`sql`
+        queries still fall back on an ``OR`` across two columns or a
+        computed expression.  A session created with an
+        explicit ``engine``/``workers`` instead runs the direct columnar
+        detector on the chunked engine.
         """
         if not self._cfds and not self._cinds:
             raise ReproError("register constraints before calling detect()")
@@ -156,7 +166,9 @@ class SemandaqSession:
             if self._engine is not None or self._workers is not None:
                 reports.append(self._detect_cfds_direct())
             else:
-                reports.append(SQLCFDDetector(self._database, self._cfds).detect())
+                if self._sql_detector is None:
+                    self._sql_detector = SQLCFDDetector(self._database, self._cfds)
+                reports.append(self._sql_detector.detect())
         if self._cinds:
             if self._cind_detector is None:
                 self._cind_detector = CINDDetector(self._database, self._cinds,

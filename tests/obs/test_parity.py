@@ -16,6 +16,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.sql.engine import SQLEngine
 from repro.repair.batch_repair import BatchRepair
+from repro.semandaq.session import SemandaqSession
 
 SCHEMA = RelationSchema("customer", [
     Attribute("cc"), Attribute("ac"), Attribute("city"), Attribute("zip"),
@@ -111,6 +112,20 @@ class TestParity:
         obs.enable()
         assert repair_outcome() == off
         assert obs.counter("repair.passes") >= 1
+
+    def test_sql_detection_identical_on_and_off(self, obs_state):
+        session = SemandaqSession(fresh_database())
+        session.register_cfds(["customer([cc='44', zip] -> [city])",
+                               "customer([cc='01', ac='908'] -> [city='mh'])"])
+        obs.disable()
+        off = session.detect().violations
+        assert obs.metrics()["counters"] == {}
+        obs.enable()
+        assert session.detect().violations == off
+        metrics = session.metrics()
+        assert metrics["counters"]["detect.sql.plan.code"] == 2
+        assert "detect.sql.plan.row" not in metrics["counters"]
+        assert metrics["histograms"]["span.detect.sql"]["count"] == 1
 
     def test_explain_does_not_change_results(self, obs_state):
         sql = SQLEngine(fresh_database())

@@ -5,7 +5,7 @@ import pytest
 from repro.datagen.customer import CustomerGenerator
 from repro.datagen.noise import inject_noise
 from repro.detection.cfd_detect import detect_cfd_violations
-from repro.errors import ReproError
+from repro.errors import ReproError, SQLExecutionError
 from repro.relational.csvio import read_csv, relation_to_csv
 from repro.relational.database import Database
 from repro.relational.relation import Relation
@@ -232,6 +232,16 @@ class TestSessionSQL:
         assert [t.values for t in parallel.sql(query)] == expected
         assert parallel._sql_engine.last_plan == "code"
 
+    @pytest.mark.parametrize("query, plan", [
+        ("SELECT SUM(t.city) FROM customer t", "code"),
+        ("SELECT AVG(t.city) AS a FROM customer t WHERE cc = '44' GROUP BY zip", "code"),
+        ("SELECT SUM(city) FROM customer WHERE cc = '01' OR city = 'edi'", "row"),
+    ])
+    def test_non_numeric_sum_is_a_typed_error(self, session, query, plan):
+        with pytest.raises(SQLExecutionError, match="needs numeric values"):
+            session.sql(query)
+        assert session._sql_engine.last_plan == plan
+
     def test_sql_sees_repairs(self, session):
         before = session.sql(
             "SELECT COUNT(DISTINCT street) AS s FROM customer WHERE zip = 'EH8'")
@@ -284,3 +294,11 @@ class TestCLISql:
             "--sql", "SELECT COUNT(*) AS n FROM customer WHERE zip >= 'A'"])
         captured = capsys.readouterr().out
         assert exit_code == 0 and "(1 row(s))" in captured
+
+    def test_sql_error_is_reported_not_raised(self, tmp_path, capsys):
+        data_path = self._data(tmp_path)
+        exit_code = semandaq_main([str(data_path), "--sql",
+                                   "SELECT SUM(t.city) FROM customer t"])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err.startswith("error: SUM needs numeric values")
