@@ -26,6 +26,7 @@ from repro.detection.cfd_detect import CFDDetector
 from repro.detection.columnar import NULL_CODE, compile_tableau
 from repro.engine.detect import ChunkedCFDEngine
 from repro.engine.executor import resolve_pool
+from repro.engine.worker import rhs_disagree
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 from repro.relational.types import is_null
@@ -139,7 +140,7 @@ class BatchCFDDetector:
                     by_rhs: dict[tuple[Any, ...], list[int]] = defaultdict(list)
                     for row in matching:
                         by_rhs[row.project(variable_rhs)].append(row.tid)
-                    if len(by_rhs) > 1:
+                    if rhs_disagree(by_rhs, is_null):
                         violations.append(
                             CFDViolation(cfd, pattern, tuple(sorted(r.tid for r in matching))))
         return violations

@@ -7,7 +7,14 @@ violations exist:
   ``X`` but not on ``Y`` (only possible when the pattern has constants on
   the RHS);
 * **group** violations: a set of tuples match a pattern on ``X``, agree on
-  ``X`` but do not all agree on ``Y``.
+  ``X`` (no NULL there) but hold two different non-NULL values on some
+  wildcard attribute of ``Y``.
+
+NULLs follow SQL, the semantics of the queries Semandaq generates: a NULL
+never matches a pattern constant, never joins an ``X`` group, and never
+disagrees with anything on ``Y`` (``COUNT(DISTINCT A)`` skips it).  Every
+detector here — direct, batch, incremental, chunked and SQL-generated —
+reports the same violations under that definition.
 
 :class:`CFDDetector` finds both by hashing tuples on ``X``.  By default it
 runs *columnar*: patterns are compiled to code-level tests against the
@@ -42,9 +49,10 @@ from repro import obs
 from repro.constraints.cfd import CFD
 from repro.constraints.tableau import PatternTuple
 from repro.constraints.violations import CFDViolation, ViolationReport
-from repro.detection.columnar import NULL_CODE, CompiledPattern, compile_tableau
+from repro.detection.columnar import CompiledPattern, compile_tableau
 from repro.engine.detect import ChunkedCFDEngine
 from repro.engine.executor import resolve_pool
+from repro.engine.worker import is_null_code, rhs_bucket_pairs, rhs_disagree
 from repro.relational.database import Database
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
@@ -54,7 +62,15 @@ from repro.relational.types import AttributeType, is_null, typed_match
 
 
 class CFDDetector:
-    """Direct (index-based) CFD violation detection on one relation."""
+    """Direct (index-based) CFD violation detection on one relation.
+
+    A group violates when its tuples matching the pattern hold two
+    different non-NULL values on some wildcard RHS attribute — SQL's
+    ``COUNT(DISTINCT A) > 1``, the test :class:`SQLCFDDetector` generates:
+    a NULL RHS value disagrees with nothing.  The group violation lists
+    every matching tuple of the group (NULL RHS ones included); under
+    ``enumerate_pairs`` only tuples whose RHS values disagree pair up.
+    """
 
     def __init__(self, relation: Relation, cfds: Sequence[CFD],
                  enumerate_pairs: bool = False, use_columns: bool = True,
@@ -133,7 +149,7 @@ class CFDDetector:
                                    compiled: CompiledPattern) -> list[CFDViolation]:
         if not compiled.variable_rhs:
             return []
-        return self._group_violations_by(cfd, compiled.pattern, lambda key: NULL_CODE in key,
+        return self._group_violations_by(cfd, compiled.pattern, is_null_code,
                                          compiled.lhs_matches, compiled.rhs_key)
 
     # -- row path --------------------------------------------------------------------
@@ -151,38 +167,37 @@ class CFDDetector:
             return []
         tuple_of = self._relation.tuple
         return self._group_violations_by(
-            cfd, pattern, lambda key: any(is_null(value) for value in key),
-            lambda tid: pattern.matches(tuple_of(tid), cfd.lhs),
+            cfd, pattern, is_null, lambda tid: pattern.matches(tuple_of(tid), cfd.lhs),
             lambda tid: tuple_of(tid).project(variable_rhs))
 
     # -- shared --------------------------------------------------------------------
 
     def _group_violations_by(self, cfd: CFD, pattern: PatternTuple,
-                             null_key: Callable[[tuple], bool],
+                             null: Callable[[Any], bool],
                              lhs_matches: Callable[[int], bool],
                              rhs_key: Callable[[int], Any]) -> list[CFDViolation]:
         """Scan the LHS index: each non-NULL group whose matching tuples disagree."""
         violations: list[CFDViolation] = []
         for key, tids in self._index_for(cfd.lhs).bucket_items():
-            if len(tids) < 2 or null_key(key):
+            if len(tids) < 2 or any(map(null, key)):
                 continue
             by_rhs: dict[Any, list[int]] = defaultdict(list)
             for tid in tids:
                 if lhs_matches(tid):
                     by_rhs[rhs_key(tid)].append(tid)
-            if len(by_rhs) > 1:
-                violations.extend(self._group_violation(cfd, pattern, by_rhs))
+            if rhs_disagree(by_rhs, null):
+                violations.extend(self._group_violation(cfd, pattern, by_rhs, null))
         return violations
 
     def _group_violation(self, cfd: CFD, pattern: PatternTuple,
-                         by_rhs: dict[Any, list[int]]) -> list[CFDViolation]:
+                         by_rhs: dict[Any, list[int]],
+                         null: Callable[[Any], bool]) -> list[CFDViolation]:
         """One LHS group's violations: the whole group, or each disagreeing pair."""
         if not self._enumerate_pairs:
             members = sorted(tid for tids in by_rhs.values() for tid in tids)
             return [CFDViolation(cfd, pattern, tuple(members))]
-        buckets = list(by_rhs.values())
         return [CFDViolation(cfd, pattern, (tid_a, tid_b))
-                for i, bucket in enumerate(buckets) for other in buckets[i + 1:]
+                for bucket, other in rhs_bucket_pairs(by_rhs, null)
                 for tid_a in bucket for tid_b in other]
 
     def _index_for(self, attributes: tuple[str, ...]) -> HashIndex:
@@ -225,8 +240,8 @@ class SQLCFDDetector:
     bucket and re-tests the tids with the shared :class:`CompiledPattern`.
     The SQL engine and indexes are kept across :meth:`detect` calls.  NULLs
     follow SQL: a group whose only disagreement is a NULL RHS is no
-    violation here (``COUNT(DISTINCT ...)`` skips NULLs), unlike for
-    :class:`CFDDetector`.
+    violation (``COUNT(DISTINCT ...)`` skips NULLs), the definition every
+    detector shares.
     """
 
     def __init__(self, database: Database, cfds: Sequence[CFD]) -> None:

@@ -107,10 +107,14 @@ class CompiledPattern:
         return list(tids)
 
     def rhs_disagrees(self, matching: Sequence[int]) -> bool:
-        """Whether the matching tuples carry more than one wildcard-RHS value."""
-        rhs_key = self.rhs_key
-        first = rhs_key(matching[0])
-        return any(rhs_key(tid) != first for tid in matching[1:])
+        """Whether the matching tuples hold two different non-NULL values on
+        one wildcard-RHS attribute (SQL's ``COUNT(DISTINCT A) > 1``)."""
+        for codes in self.variable_arrays:
+            values = {codes[tid] for tid in matching}
+            values.discard(NULL_CODE)
+            if len(values) > 1:
+                return True
+        return False
 
 
 def compile_tableau(cfd: CFD, relation: Relation) -> list[CompiledPattern]:

@@ -172,13 +172,12 @@ class ChunkedCFDEngine(RelationBroadcastEngine):
                 tag, data = verdict
                 if tag == "g":
                     violations.append(CFDViolation(cfd, cp.pattern, data))
-                else:  # enumerate_pairs: expand the RHS buckets into pairs
-                    for b, bucket in enumerate(data):
-                        for other in data[b + 1:]:
-                            for tid_a in bucket:
-                                for tid_b in other:
-                                    violations.append(
-                                        CFDViolation(cfd, cp.pattern, (tid_a, tid_b)))
+                else:  # enumerate_pairs: expand disagreeing bucket pairs
+                    for bucket, other in data:
+                        for tid_a in bucket:
+                            for tid_b in other:
+                                violations.append(
+                                    CFDViolation(cfd, cp.pattern, (tid_a, tid_b)))
         return violations
 
     def _emit_batch(self, cfd: CFD, compiled: Sequence[CompiledPattern],

@@ -150,25 +150,26 @@ class ChunkedJoinEngine:
             return merger.groups
 
     def probe_factorised(self, query: dict[str, Any]
-                         ) -> tuple[dict[Any, list], int, int]:
+                         ) -> tuple[dict[Any, list], int, int, int]:
         """Factorised grouped probe: semiring folds, no tuple enumeration.
 
-        Returns ``(merged groups, semiring folds performed, enumerated
-        tuples those folds replaced)``; the groups are byte-identical to
-        :meth:`probe_grouped`'s for every chunk size and worker count.
+        Returns ``(merged groups, semiring combines performed, enumerated
+        tuples those combines replaced, probe classes folded)``; the
+        groups are byte-identical to :meth:`probe_grouped`'s for every
+        chunk size and worker count.
         """
         with obs.span("sql.factorised.fold",
                       relation=self._relations[0].name):
             merger = AggregateMerger(query["aggs"], factorised=True)
-            partials = 0
-            tuples = 0
+            combines = tuples = classes = 0
             results = self._run(query, handler="factorised_fold")
             if results is not None:
-                for groups, chunk_partials, chunk_tuples, _ in results:
+                for groups, chunk_combines, chunk_tuples, chunk_classes in results:
                     merger.add_chunk(groups)
-                    partials += chunk_partials
+                    combines += chunk_combines
                     tuples += chunk_tuples
-            return merger.groups, partials, tuples
+                    classes += chunk_classes
+            return merger.groups, combines, tuples, classes
 
     def __repr__(self) -> str:
         left, right = self._relations

@@ -5,7 +5,7 @@ The SQL executor's multiway plans
 first join variable's candidate codes: the parent intersects the first
 variable once, slices the candidate list into contiguous balanced
 batches, and every batch is enumerated by the ``multiway_probe`` worker
-(leapfrog intersection + descent over the remaining variables).  Each
+(a leapfrog descent over per-table tries, built once per query).  Each
 worker returns its join tuples *sorted*, so merging the per-chunk sorted
 runs reproduces the global ascending ``(tid_1, .., tid_N)`` enumeration —
 the order the row path's left-deep pipeline emits — for every chunk size
@@ -20,9 +20,8 @@ in-process path.
 
 The broadcast state holds *all* participating relations' code arrays
 (live views, shipped once per version tuple — a mutation of any relation
-re-tokenises the handle).  Level groups, bridge translations and the
-candidate slices ride in the task payloads: they are query-scoped, like
-hash-join buckets.
+re-tokenises the handle).  The tries and the candidate slices ride in
+the task payloads: they are query-scoped, like hash-join buckets.
 
 On the parallel backend every fan-out here runs supervised (see
 :mod:`repro.engine.executor`): per-task timeouts, retries and the
@@ -132,10 +131,10 @@ class ChunkedMultiJoinEngine:
                          ) -> tuple[dict[Any, list], int, int, list[int]]:
         """Factorised grouped probe: one fan-out, no tuple enumeration.
 
-        Workers descend the leapfrog levels exactly like ``multiway_probe``
-        but fold each fully bound block by semiring multiplication
-        (``factorised_fold``).  Returns ``(merged groups, semiring folds,
-        enumerated tuples replaced, per-level candidate counts)``; group
+        Workers walk the pre-folded tries exactly like ``multiway_probe``
+        but combine parts by semiring multiplication (``factorised_fold``).
+        Returns ``(merged groups, semiring combines, enumerated tuples
+        replaced, per-level candidate counts)``; group
         representatives are min-merged and the caller re-sorts groups by
         representative to restore the sorted enumeration's
         first-occurrence order.
@@ -146,8 +145,7 @@ class ChunkedMultiJoinEngine:
             merger = AggregateMerger(query["aggs"], factorised=True,
                                      ordered_reps=True)
             counts = [0] * depth
-            partials = 0
-            tuples = 0
+            combines = tuples = 0
             batches = self._batches(candidates)
             if batches:
                 if obs.enabled:
@@ -158,14 +156,14 @@ class ChunkedMultiJoinEngine:
                 tasks: list[tuple[str, Any]] = [
                     ("factorised_fold", (MULTI_SPEC, query, batch))
                     for batch in batches]
-                for groups, chunk_partials, chunk_tuples, chunk_counts \
+                for groups, chunk_combines, chunk_tuples, chunk_counts \
                         in self._pool.run_stream(handle, tasks, rows):
                     merger.add_chunk(groups)
-                    partials += chunk_partials
+                    combines += chunk_combines
                     tuples += chunk_tuples
                     for level, count in enumerate(chunk_counts):
                         counts[level] += count
-            return merger.groups, partials, tuples, counts
+            return merger.groups, combines, tuples, counts
 
     def fold(self, query: dict[str, Any],
              combos: list[tuple[int, ...]]) -> dict[Any, list]:

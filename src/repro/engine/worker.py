@@ -326,14 +326,45 @@ def _rhs_key(arrays: list[list[int]], tid: int) -> Any:
     return tuple(codes[tid] for codes in arrays)
 
 
+def is_null_code(code: int) -> bool:
+    return code == NULL_CODE
+
+
+def rhs_disagree(keys: Any, is_null: Any = is_null_code) -> bool:
+    """Whether wildcard-RHS keys hold two different non-NULL values.
+
+    The CFD group test of the queries Semandaq generates —
+    ``COUNT(DISTINCT A) > 1`` on some wildcard-RHS attribute ``A`` — so a
+    NULL disagrees with nothing.  *keys* are bare values (one attribute)
+    or equal-length tuples; *is_null* tells NULL apart (codes by default).
+    """
+    seen: dict[int, Any] = {}
+    for key in keys:
+        for position, value in enumerate(key if isinstance(key, tuple) else (key,)):
+            if not is_null(value) and seen.setdefault(position, value) != value:
+                return True
+    return False
+
+
+def rhs_bucket_pairs(by_rhs: dict[Any, list[int]],
+                     is_null: Any = is_null_code) -> list[tuple[list[int], list[int]]]:
+    """The pairs of RHS buckets (insertion order) whose keys disagree."""
+    buckets = list(by_rhs.items())
+    return [(bucket, other)
+            for index, (key, bucket) in enumerate(buckets)
+            for other_key, other in buckets[index + 1:]
+            if rhs_disagree((key, other_key), is_null)]
+
+
 def _cfd_groups(state: dict[str, Any],
                 payload: tuple[str, list[list[int]]]) -> list[dict[int, tuple]]:
     """Check merged groups against every variable-RHS pattern.
 
     Each group arrives as its full (cross-chunk) tid list in ascending
-    order; the verdict per pattern is either a group-violation tid tuple
-    or, under ``enumerate_pairs``, the RHS equivalence buckets the parent
-    expands into pairs.
+    order; a group violates when its matching tuples disagree in the
+    sense of :func:`rhs_disagree`.  The verdict per pattern is either a
+    group-violation tid tuple or, under ``enumerate_pairs``, the pairs of
+    disagreeing RHS buckets the parent expands into tid pairs.
     """
     spec_id, groups = payload
     spec = state[spec_id]
@@ -378,16 +409,14 @@ def _cfd_groups(state: dict[str, Any],
                         by_rhs[key] = [tid]
                     else:
                         bucket.append(tid)
-                if len(by_rhs) <= 1:
+                if not rhs_disagree(by_rhs):
                     continue
                 if enumerate_pairs:
-                    verdicts[pidx] = ("p", list(by_rhs.values()))
+                    verdicts[pidx] = ("p", rhs_bucket_pairs(by_rhs))
                 else:
                     verdicts[pidx] = ("g", tuple(sorted(matching)))
-            else:
-                first = _rhs_key(arrays, matching[0])
-                if any(_rhs_key(arrays, tid) != first for tid in matching[1:]):
-                    verdicts[pidx] = ("g", tuple(matching))
+            elif rhs_disagree({_rhs_key(arrays, tid) for tid in matching}):
+                verdicts[pidx] = ("g", tuple(matching))
         results.append(verdicts)
     return results
 
@@ -448,6 +477,15 @@ def initial_aggregate_state(kind: str) -> Any:
     return None          # min | max
 
 
+def filter_tids(arrays: list[list[int]], filters: list[tuple[int, Any]],
+               tids: list[int]) -> list[int]:
+    """The tids of one chunk passing every ``(position, allowed codes)`` filter."""
+    for position, allowed in filters:
+        codes = arrays[position]
+        tids = [tid for tid in tids if codes[tid] in allowed]
+    return tids
+
+
 def _sql_scan(state: dict[str, Any],
               payload: tuple[str, dict[str, Any], list[int]]) -> Any:
     """Filter one chunk by code-set membership, optionally group + aggregate.
@@ -475,20 +513,10 @@ def _sql_scan(state: dict[str, Any],
     """
     spec_id, query, tids = payload
     arrays = state[spec_id]["arrays"]
-    filters = [(arrays[position], allowed) for position, allowed in query["filters"]]
-    if filters:
-        survivors = []
-        for tid in tids:
-            for codes, allowed in filters:
-                if codes[tid] not in allowed:
-                    break
-            else:
-                survivors.append(tid)
-    else:
-        survivors = list(tids)
+    survivors = filter_tids(arrays, query["filters"], tids)
     group = query["group"]
     if group is None:
-        return survivors
+        return list(survivors)
 
     # op codes keep the per-tuple loop on integer dispatch
     steps: list[tuple[int, Any, Any]] = []
@@ -571,35 +599,18 @@ def _join_probe(state: dict[str, Any],
     sides = state[spec_id]["sides"]
     probe_side = query["probe_side"]
     arrays = sides[probe_side]
-    filters = [(arrays[position], allowed)
-               for position, allowed in query["filters"]]
     keys = [(arrays[position], translation)
             for position, translation in query["keys"]]
     buckets = query["buckets"]
     single = len(keys) == 1
-
-    if filters:
-        survivors = []
-        for tid in tids:
-            for codes, allowed in filters:
-                if codes[tid] not in allowed:
-                    break
-            else:
-                survivors.append(tid)
-    else:
-        survivors = tids
+    survivors = filter_tids(arrays, query["filters"], tids)
 
     def bucket_of(tid: int) -> list[int] | None:
         if single:
             codes, translation = keys[0]
             return buckets.get(translation[codes[tid]])
-        key = []
-        for codes, translation in keys:
-            partner = translation[codes[tid]]
-            if partner < 1:  # NULL or NO_PARTNER: no bucket can match
-                return None
-            key.append(partner)
-        return buckets.get(tuple(key))
+        return buckets.get(tuple([translation[codes[tid]]
+                                  for codes, translation in keys]))
 
     group = query["group"]
     if group is None:
@@ -701,7 +712,7 @@ def gallop_intersect(lists: list[list[int]]) -> list[int]:
     galloping search, so the cost tracks the smallest participant — the
     intersection step of the multiway join, shared by the parent (first
     variable, over whole relations) and the workers (deeper levels, over
-    already-bound tid groups).
+    already-bound trie nodes).
     """
     if not lists:
         return []
@@ -723,107 +734,76 @@ def gallop_intersect(lists: list[list[int]]) -> list[int]:
     return result
 
 
-def multiway_group(arrays: list[list[int]], tids: list[int],
-                   members: list[tuple[int, Any]]) -> dict[int, list[int]]:
-    """Group *tids* by their shared-space code over one variable's members.
+def multiway_descend(levels: list[list[int]], tries: list[tuple],
+                     candidates: list[int], counts: list[int],
+                     visit: Any) -> None:
+    """Walk the per-table join tries once, binding one variable per level.
 
-    ``members`` are ``(position, translation)`` pairs on one relation —
-    the translation maps that column's codes into the variable's
-    representative dictionary (``None`` when the column *is* the
-    representative).  A tid only lands in a group when every member agrees
-    on a code ``>= 1``: NULL (0) never equals anything and
-    :data:`~repro.relational.columns.NO_PARTNER` (-1) marks values the
-    representative dictionary lacks, so both drop out here, exactly as
-    NULL keys drop out of hash-join buckets.  Tid lists stay ascending
-    (scan order), which is what :func:`gallop_intersect` and the product
-    emission rely on.
+    ``levels`` lists, per join variable in the chosen order, the tables
+    joining on it; ``tries`` holds each table's trie
+    (:func:`~repro.relational.sql.columnar.multiway_trie`: inner nodes are
+    ``(ascending codes, code -> child)``).  Level 0 binds the chunk's
+    *candidates*; every deeper level leapfrog-intersects the codes of its
+    tables' current nodes (:func:`gallop_intersect`), and each common code
+    moves those tables one node down while the others keep theirs — so a
+    table is never regrouped per candidate.  At the last level
+    ``visit(nodes, codes)`` receives every table's node and the last
+    variable's common codes: its tables still hold ``code -> leaf`` maps,
+    every other table already sits on its leaf.  ``counts[level]`` adds
+    the codes bound at each level (EXPLAIN's per-level candidates).
+
+    The enumerating probe and the factorised fold share this walk, so
+    both see exactly the same bindings.
     """
-    position, translation = members[0]
-    codes = arrays[position]
-    rest = members[1:]
-    groups: dict[int, list[int]] = {}
-    for tid in tids:
-        code = codes[tid]
-        if translation is not None:
-            code = translation[code]
-        if code < 1:
-            continue
-        agreed = True
-        for other_position, other_translation in rest:
-            other = arrays[other_position][tid]
-            if other_translation is not None:
-                other = other_translation[other]
-            if other != code:
-                agreed = False
-                break
-        if not agreed:
-            continue
-        bucket = groups.get(code)
-        if bucket is None:
-            groups[code] = [tid]
-        else:
-            bucket.append(tid)
-    return groups
+    last = len(levels) - 1
+
+    def walk(level: int, nodes: list, codes: list[int]) -> None:
+        counts[level] += len(codes)
+        if level == last:
+            visit(nodes, codes)
+            return
+        tables = levels[level]
+        following = levels[level + 1]
+        for code in codes:
+            bound = list(nodes)
+            for table in tables:
+                bound[table] = nodes[table][1][code]
+            deeper = gallop_intersect([bound[table][0] for table in following])
+            if deeper:
+                walk(level + 1, bound, deeper)
+
+    walk(0, list(tries), candidates)
 
 
 def _multiway_probe(state: dict[str, Any],
                     payload: tuple[str, dict[str, Any], list[int]]) -> Any:
     """Enumerate the join tuples of one chunk of first-variable candidates.
 
-    The broadcast state holds every relation's code arrays (``tables``,
-    FROM order); the query payload carries the compiled shape: ``levels``
-    is the chosen variable order (per level: the participating tables with
-    their member ``(position, translation)`` pairs), ``base`` the filtered
-    live tids per table (``None`` for tables already grouped at level 0),
-    and ``level_one`` the parent-built ``code -> tids`` groups of the
-    first variable's participants.
-
-    For each candidate code the worker binds the first variable, then
-    recurses the remaining levels generic-join style: re-group each
-    participating table's *currently bound* tids by the level's variable
-    (:func:`multiway_group`), leapfrog-intersect the present codes
-    (:func:`gallop_intersect`), and descend per candidate.  A fully bound
-    assignment emits the cartesian product of the per-table tid lists in
-    FROM order.  The tuples are sorted before returning, so the parent's
-    merge of all chunks is exactly the ascending ``(tid_1, .., tid_N)``
-    enumeration the row path produces.
+    The query payload carries ``levels`` (the tables joining on each
+    variable, chosen order) and one trie per table whose leaves are
+    ascending tid lists; :func:`multiway_descend` binds the variables, and
+    each fully bound assignment emits the cartesian product of the
+    per-table leaves in FROM order.  The tuples are sorted before
+    returning, so the parent's merge of all chunks is exactly the
+    ascending ``(tid_1, .., tid_N)`` enumeration the row path produces.
 
     Returns ``(sorted tid tuples, per-level candidate counts)`` — the
     counts feed the obs histogram and EXPLAIN's per-level report.
     """
-    spec_id, query, candidates = payload
-    tables = state[spec_id]["tables"]
+    _, query, candidates = payload
     levels = query["levels"]
-    base = query["base"]
-    level_one = query["level_one"]
-    depth = len(levels)
-    counts = [0] * depth
+    inner = levels[-1]
+    counts = [0] * len(levels)
     results: list[tuple[int, ...]] = []
 
-    def descend(level: int, per_table: list[list[int]]) -> None:
-        if level == depth:
-            results.extend(product(*per_table))
-            return
-        maps: list[tuple[int, dict[int, list[int]]]] = []
-        for table, members in levels[level]:
-            groups = multiway_group(tables[table], per_table[table], members)
-            if not groups:
-                return
-            maps.append((table, groups))
-        for code in gallop_intersect([sorted(groups) for _, groups in maps]):
-            counts[level] += 1
-            bound = list(per_table)
-            for table, groups in maps:
-                bound[table] = groups[code]
-            descend(level + 1, bound)
+    def emit(nodes: list, codes: list[int]) -> None:
+        for code in codes:
+            leaves = list(nodes)
+            for table in inner:
+                leaves[table] = nodes[table][1][code]
+            results.extend(product(*leaves))
 
-    first_tables = [table for table, _ in levels[0]]
-    for code in candidates:
-        counts[0] += 1
-        per_table = list(base)
-        for table in first_tables:
-            per_table[table] = level_one[table][code]
-        descend(1, per_table)
+    multiway_descend(levels, query["tries"], candidates, counts, emit)
     results.sort()
     return results, counts
 
@@ -890,10 +870,18 @@ def _multiway_fold(state: dict[str, Any],
 
 
 # -- SQL factorised (semiring) aggregate phase --------------------------------
+#
+# Every factorised fold works on *parts*: ``[key, rep, size, partial per
+# spec...]`` lists.  A part stands for ``size`` tuples of one table (or,
+# once the innermost variable is eliminated, of several tables) sharing
+# the group-key codes ``key``; ``rep`` is its first tuple's tid(s) and
+# each spec on the part's tables carries one pre-folded partial.  Parts
+# are folded once (:func:`fold_part`) and then only combined
+# (:func:`_cross`), never re-scanned per join binding.
 
 
 def initial_factorised_state(spec: tuple) -> Any:
-    """The factorised partial state before any block is folded in.
+    """The factorised partial state before any part is combined in.
 
     * ``count_star`` / ``count`` — an exact integer;
     * ``count_distinct`` and DISTINCT ``sum`` / ``avg`` — a code set
@@ -911,378 +899,291 @@ def initial_factorised_state(spec: tuple) -> Any:
     return None  # min | max
 
 
+def _fold_mode(spec: tuple) -> int:
+    """0 COUNT, 1 code set, 2 exact ``[total, count]``, 3 MIN, 4 MAX."""
+    kind = spec[0]
+    if kind == "count":
+        return 0
+    if kind == "count_distinct" or (kind in ("sum", "avg") and spec[3]):
+        return 1
+    if kind in ("sum", "avg"):
+        return 2
+    return 3 if kind == "min" else 4
+
+
+def fold_steps(aggs: list[tuple], side: int,
+               arrays: list[list[int]]) -> list[tuple[int, int, Any, Any]]:
+    """The :func:`fold_part` steps ``(slot, mode, codes, aux)`` of *side*'s specs.
+
+    ``aux`` is the decoded value list for exact sums and the dense
+    dictionary ranks for MIN/MAX (see
+    :func:`~repro.relational.sql.columnar.factorised_aggregates`).
+    """
+    steps = []
+    for slot, spec in enumerate(aggs, start=3):
+        if spec[0] == "count_star" or spec[1] != side:
+            continue
+        mode = _fold_mode(spec)
+        aux = spec[4] if mode == 2 else spec[3] if mode >= 3 else None
+        steps.append((slot, mode, arrays[spec[2]], aux))
+    return steps
+
+
+def fold_part(key: tuple, tids: list[int], steps: list[tuple[int, int, Any, Any]],
+              width: int) -> list:
+    """Fold ascending *tids* of one table into a part, once per spec.
+
+    COUNT counts non-NULL codes, code sets drop NULL, SUM/AVG keep an
+    exact ``[total, count]``, MIN/MAX the best ``(rank, code)`` (the first
+    occurrence on a tie, like the enumerated fold); specs of other tables
+    stay ``None``.  The representative is the part's minimum tid.
+    """
+    part = [key, (tids[0],), len(tids)] + [None] * width
+    for slot, mode, codes, aux in steps:
+        present = [code for code in map(codes.__getitem__, tids)
+                   if code != NULL_CODE]
+        if mode == 0:
+            part[slot] = len(present)
+        elif mode == 1:
+            part[slot] = set(present)
+        elif mode == 2:
+            part[slot] = [sum(map(aux.__getitem__, present)), len(present)]
+        elif present:
+            best = (min if mode == 3 else max)(present, key=aux.__getitem__)
+            part[slot] = (aux[best], best)
+    return part
+
+
+def _cross_shape(aggs: list[tuple], key_slots: list[tuple[int, int]],
+                 cover: list[list[int]], widths: list[int]) -> tuple:
+    """How :func:`_cross` combines sides covering the tables in *cover*.
+
+    ``cover[s]`` lists the tables side ``s``'s parts stand for (ascending);
+    a part's key concatenates those tables' group-key codes (``widths``
+    per table) and its representative their tids.  *key_slots* name the
+    target key as ``(table, offset into that table's codes)``.  Returns
+    ``(combine (part slot, mode, side) per spec, target key slots,
+    representative slots)`` with slots as ``(side, offset)``; the
+    representative slots list the covered tables in ascending (FROM)
+    order.  Specs of tables no side covers are left out.
+    """
+    where: dict[int, tuple[int, int, int]] = {}
+    for side, tables in enumerate(cover):
+        offset = 0
+        for rep_offset, table in enumerate(tables):
+            where[table] = (side, offset, rep_offset)
+            offset += widths[table]
+    combines = [(slot, 0, 0) if spec[0] == "count_star"
+                else (slot, _fold_mode(spec) + 1, where[spec[1]][0])
+                for slot, spec in enumerate(aggs, start=3)
+                if spec[0] == "count_star" or spec[1] in where]
+    keys = [(where[table][0], where[table][1] + offset)
+            for table, offset in key_slots]
+    reps = [(where[table][0], where[table][2]) for table in sorted(where)]
+    return combines, keys, reps
+
+
+def _cross(sides: list[list[list]], shape: tuple, into: dict[tuple, list],
+           aggs: list[tuple]) -> tuple[int, int]:
+    """Combine every choice of one part per side into the parts of *into*.
+
+    Semiring multiplication: the choice stands for the product of its
+    part sizes, so COUNT(*) adds that product, a side's COUNT and exact
+    sums scale by the co-sides' multiplicity (exact integers), code sets
+    union and MIN/MAX keep the strictly better rank.  Target parts keep
+    the lexicographically smallest representative — with every
+    representative a per-side minimum, exactly the first tuple of the
+    enumerated product.  Returns ``(combines, tuples)``: choices combined
+    and enumerated tuples they stand for.
+    """
+    combines, key_slots, rep_slots = shape
+    performed = 0
+    tuples = 0
+    for choice in product(*sides):
+        multiplier = 1
+        for part in choice:
+            multiplier *= part[2]
+        performed += 1
+        tuples += multiplier
+        key = tuple([choice[side][0][offset] for side, offset in key_slots])
+        rep = tuple([choice[side][1][offset] for side, offset in rep_slots])
+        entry = into.get(key)
+        if entry is None:
+            entry = into[key] = [key, rep, 0] + [initial_factorised_state(spec)
+                                                 for spec in aggs]
+        elif rep < entry[1]:
+            entry[1] = rep
+        entry[2] += multiplier
+        for slot, mode, side in combines:
+            if mode == 0:        # COUNT(*): the whole product
+                entry[slot] += multiplier
+                continue
+            part = choice[side]
+            stat = part[slot]
+            if mode == 1:        # COUNT: scale by the co-sides' multiplicity
+                entry[slot] += stat * (multiplier // part[2])
+            elif mode == 2:      # code set: union
+                entry[slot] |= stat
+            elif mode == 3:      # [total, count] × the co-sides' multiplicity
+                scale = multiplier // part[2]
+                pair_state = entry[slot]
+                pair_state[0] += stat[0] * scale
+                pair_state[1] += stat[1] * scale
+            elif stat is not None:  # 4 min | 5 max
+                best = entry[slot]
+                if best is None or (stat[0] < best[0] if mode == 4
+                                    else stat[0] > best[0]):
+                    entry[slot] = stat
+    return performed, tuples
+
+
+def _key_layout(group: list[tuple[int, int]],
+                tables: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Group-key codes per table and each key slot as ``(table, offset)``."""
+    widths = [0] * tables
+    slots = []
+    for table, _ in group:
+        slots.append((table, widths[table]))
+        widths[table] += 1
+    return widths, slots
+
+
+def _groups_of(entries: dict[tuple, list], single: bool) -> dict[Any, list]:
+    """``sql_scan``-shaped groups (bare code for one key) from target parts."""
+    return {key[0] if single else key: [entry[1]] + entry[3:]
+            for key, entry in entries.items()}
+
+
 def _factorised_fold(state: dict[str, Any],
                      payload: tuple[str, dict[str, Any], list]) -> Any:
     """Fold one chunk of a grouped join without enumerating its tuples.
 
-    Dispatches on the query's ``kind``: ``"join"`` folds probe tids
-    against pre-aggregated hash-bucket blocks
-    (:func:`repro.relational.sql.columnar.build_factorised_buckets`),
-    ``"multi"`` descends the leapfrog levels like :func:`_multiway_probe`
-    and folds each fully bound block by semiring multiplication.  Both
-    return ``(groups, partials, tuples, counts)``: ``sql_scan``-shaped
-    partial groups (the representative is the enumerated path's first
-    tuple), the number of semiring folds performed, the number of
-    enumerated tuples those folds replaced, and the per-level candidate
-    counts (``None`` for the join shape).
+    Dispatches on the query's ``kind``: ``"join"`` folds probe classes
+    against pre-folded hash-bucket blocks (:func:`_factorised_join_fold`),
+    ``"multi"`` walks the pre-folded tries
+    (:func:`_factorised_multi_fold`).  Both return ``(groups, combines,
+    tuples, extra)``: ``sql_scan``-shaped partial groups (the
+    representative is the enumerated path's first tuple), the semiring
+    combines performed, the enumerated tuples they replaced, and the
+    number of probe classes (join) or the per-level candidate counts
+    (multiway).
     """
     spec_id, query, items = payload
     if query["kind"] == "join":
-        return _factorised_join_fold(state[spec_id]["sides"], query, items)
-    return _factorised_multi_fold(state[spec_id]["tables"], query, items)
+        return _factorised_join_fold(state[spec_id]["sides"][0], query, items)
+    return _factorised_multi_fold(query, items)
 
 
-def _factorised_join_fold(sides: tuple, query: dict[str, Any],
+def _factorised_join_fold(arrays: list[list[int]], query: dict[str, Any],
                           tids: list[int]) -> Any:
-    """Probe one chunk against blocks of pre-folded build-side partials.
+    """Fold one probe chunk of a two-table join, once per join key per side.
 
-    Matches :func:`_join_probe`'s grouped branch pairing for pairing —
-    same probe filters, same bridge translation, same NULL / NO_PARTNER
-    misses — but each bucket *block* (one build-side group-key
-    projection, scan order) combines in O(specs): COUNT(*) adds the
-    block size, probe-side folds scale by it, build-side folds reuse the
-    block's pre-aggregated partial.  Group keys assemble from probe
-    codes and the block's part codes, so first-occurrence order and the
-    first-pair representative match the enumerated probe exactly.
+    The build side arrives pre-folded: each hash bucket holds *blocks*,
+    one part per build-side group-key projection
+    (:func:`repro.relational.sql.columnar.build_factorised_buckets`).
+    One pass puts the surviving probe tids into *classes* by (bridged join
+    key, probe-side group-key codes) — same filters, translation and
+    NULL / NO_PARTNER misses as :func:`_join_probe` — and folds each
+    class into one part; each class then combines each block of its
+    bucket once (:func:`_cross`): COUNT(*) adds block size × class size,
+    probe-side partials scale by the block size, build-side ones by the
+    class size.
+
+    Classes are visited in first-tid order and represent as (class first
+    tid, block first tid), so group first-occurrence order and
+    representatives are the enumerated probe's: a group's first pair
+    ``(t, b)`` has ``t`` first in its class, because every class member
+    meets the same blocks under the same probe-side key codes.
     """
-    arrays = sides[0]  # factorised probes always walk the left side
-    filters = [(arrays[position], allowed)
-               for position, allowed in query["filters"]]
+    survivors = filter_tids(arrays, query["filters"], tids)
     keys = [(arrays[position], translation)
             for position, translation in query["keys"]]
     buckets = query["buckets"]
-    single = len(keys) == 1
-
-    if filters:
-        survivors = []
-        for tid in tids:
-            for codes, allowed in filters:
-                if codes[tid] not in allowed:
-                    break
-            else:
-                survivors.append(tid)
-    else:
-        survivors = tids
-
-    def bucket_of(tid: int) -> list | None:
-        if single:
-            codes, translation = keys[0]
-            return buckets.get(translation[codes[tid]])
-        key = []
-        for codes, translation in keys:
-            partner = translation[codes[tid]]
-            if partner < 1:  # NULL or NO_PARTNER: no bucket can match
-                return None
-            key.append(partner)
-        return buckets.get(tuple(key))
-
-    # op codes per spec: probe-side folds read the tid's code, build-side
-    # folds combine the block's pre-aggregated partial.
     aggs = query["aggs"]
-    steps: list[tuple[int, Any, Any]] = []
-    for spec in aggs:
-        kind = spec[0]
-        if kind == "count_star":
-            steps.append((0, None, None))
-        elif spec[1] == 0:  # probe (left) side
-            codes = arrays[spec[2]]
-            if kind == "count":
-                steps.append((1, codes, None))
-            elif kind == "count_distinct" or (kind in ("sum", "avg") and spec[3]):
-                steps.append((3, codes, None))
-            elif kind in ("sum", "avg"):
-                steps.append((5, codes, spec[4]))
-            else:
-                steps.append((7 if kind == "min" else 8, codes, spec[3]))
-        else:  # build (right) side: combine the pre-folded partial
-            if kind == "count":
-                steps.append((2, None, None))
-            elif kind == "count_distinct" or (kind in ("sum", "avg") and spec[3]):
-                steps.append((4, None, None))
-            elif kind in ("sum", "avg"):
-                steps.append((6, None, None))
-            else:
-                steps.append((9 if kind == "min" else 10, None, None))
-
     group = query["group"]
-    left_keys = []    # (key slot, probe code array)
-    right_slots = []  # (key slot, offset into the block's part codes)
-    offset = 0
-    for slot, (side, position) in enumerate(group):
-        if side == 0:
-            left_keys.append((slot, arrays[position]))
-        else:
-            right_slots.append((slot, offset))
-            offset += 1
-    single_key = len(group) == 1
-    key_codes = [0] * len(group)
+    probe_keys = [arrays[position] for side, position in group if side == 0]
 
-    groups: dict[Any, list] = {}
-    partials = 0
-    tuples = 0
-    for tid in survivors:
-        blocks = bucket_of(tid)
-        if not blocks:
-            continue
-        for slot, codes in left_keys:
-            key_codes[slot] = codes[tid]
-        for part, first_tid, size, pres in blocks:
-            for slot, position in right_slots:
-                key_codes[slot] = part[position]
-            if single_key:
-                key: Any = key_codes[0]
-            else:
-                key = tuple(key_codes)
-            partials += 1
-            tuples += size
-            entry = groups.get(key)
-            if entry is None:
-                entry = [(tid, first_tid)] + [initial_factorised_state(spec)
-                                              for spec in aggs]
-                groups[key] = entry
-            for index, (op, codes, aux) in enumerate(steps, start=1):
-                if op == 0:          # COUNT(*): the whole block matches
-                    entry[index] += size
-                    continue
-                if op == 2:          # build-side COUNT: pre-counted non-NULLs
-                    entry[index] += pres[index - 1]
-                    continue
-                if op == 4:          # build-side code set: union (pres read-only)
-                    entry[index] |= pres[index - 1]
-                    continue
-                if op == 6:          # build-side [total, count]: elementwise add
-                    pre = pres[index - 1]
-                    pair_state = entry[index]
-                    pair_state[0] += pre[0]
-                    pair_state[1] += pre[1]
-                    continue
-                if op >= 9:          # build-side MIN | MAX: best rank wins
-                    pre = pres[index - 1]
-                    if pre is not None:
-                        best = entry[index]
-                        if best is None or (pre[0] < best[0] if op == 9
-                                            else pre[0] > best[0]):
-                            entry[index] = pre
-                    continue
-                code = codes[tid]
-                if code == NULL_CODE:
-                    continue
-                if op == 1:          # probe-side COUNT: size copies of the code
-                    entry[index] += size
-                elif op == 3:        # probe-side code set
-                    entry[index].add(code)
-                elif op == 5:        # probe-side SUM/AVG: value × multiplicity
-                    pair_state = entry[index]
-                    pair_state[0] += aux[code] * size
-                    pair_state[1] += size
-                else:                # 7 min | 8 max on the probe side
-                    rank = aux[code]
-                    best = entry[index]
-                    if best is None or (rank < best[0] if op == 7 else rank > best[0]):
-                        entry[index] = (rank, code)
-    return groups, partials, tuples, None
+    if len(keys) == 1:
+        codes, translation = keys[0]
+        join_keys = [translation[codes[tid]] for tid in survivors]
+    else:
+        join_keys = [tuple([translation[codes[tid]] for codes, translation in keys])
+                     for tid in survivors]
+    # a class is keyed by its join key alone when no group key is probe-side
+    class_keys = join_keys if not probe_keys else [
+        (join_key, *[codes[tid] for codes in probe_keys])
+        for tid, join_key in zip(survivors, join_keys)]
+    classes: dict[Any, Any] = {}
+    for tid, join_key, class_key in zip(survivors, join_keys, class_keys):
+        members = classes.get(class_key)
+        if members:
+            members.append(tid)
+        elif members is None:  # False marks a class whose join key misses
+            classes[class_key] = [tid] if join_key in buckets else False
+
+    widths, slots = _key_layout(group, 2)
+    shape = _cross_shape(aggs, slots, [[0], [1]], widths)
+    steps = fold_steps(aggs, 0, arrays)
+    entries: dict[tuple, list] = {}
+    combines = tuples = matched = 0
+    for class_key, members in classes.items():
+        if members:
+            matched += 1
+            join_key, part_key = (class_key[0], class_key[1:]) if probe_keys \
+                else (class_key, ())
+            part = fold_part(part_key, members, steps, len(aggs))
+            done, count = _cross([[part], buckets[join_key]], shape,
+                                 entries, aggs)
+            combines += done
+            tuples += count
+    return _groups_of(entries, len(group) == 1), combines, tuples, matched
 
 
-def _factorised_multi_fold(tables: tuple, query: dict[str, Any],
-                           candidates: list[int]) -> Any:
-    """Descend one chunk of first-variable candidates, folding — not
-    enumerating — every fully bound block.
+def _factorised_multi_fold(query: dict[str, Any], candidates: list[int]) -> Any:
+    """Walk one chunk of first-variable candidates over pre-folded tries.
 
-    The descent is :func:`_multiway_probe` move for move (same grouping,
-    same leapfrog intersection, same per-level counts); only the full
-    depth differs.  There each side holds a bound tid list and the block
-    contributes its cartesian product; here each side's list is
-    partitioned by its group-key codes, per-part partial aggregates are
-    folded once, and every cross-side part combination contributes by
-    semiring multiplication: COUNT(*) adds the product of part sizes,
-    per-side folds scale by the co-sides' multiplicity (an exact
-    integer), code sets union, MIN/MAX compare ranks.  The group
-    representative is the combination's per-side minimum tids — exactly
-    the lexicographically first tuple of its cartesian product, i.e. the
-    enumerated path's first occurrence — min-merged per group so the
-    parent can re-sort groups into the sorted enumeration's
-    first-occurrence order.
+    The descent is :func:`_multiway_probe`'s (:func:`multiway_descend`);
+    only the leaves differ: each table's trie leaf is already folded into
+    parts by that table's group-key codes, once per query.  The last
+    variable is eliminated InsideOut-style: per binding of the others,
+    its tables' leaves are crossed per common code and summed into
+    *virtual* parts keyed by their joint group-key codes, and only those
+    cross the leaves every other table holds at that depth — e.g.
+    orders ⋈ zips folds per region before meeting that region's parts.
+    The representative of a group is the lexicographic minimum of its
+    per-table first tids, exactly the sorted enumeration's first tuple;
+    the parent min-merges chunks and re-sorts groups by it.
     """
     levels = query["levels"]
-    base = query["base"]
-    level_one = query["level_one"]
-    depth = len(levels)
-    counts = [0] * depth
     aggs = query["aggs"]
     group = query["group"]
-    table_count = len(tables)
+    widths, slots = _key_layout(group, len(query["tries"]))
+    inner = levels[-1]
+    outer = [table for table in range(len(widths)) if table not in inner]
+    inner_shape = _cross_shape(
+        aggs, [(table, offset) for table in inner
+               for offset in range(widths[table])],
+        [[table] for table in inner], widths)
+    outer_shape = _cross_shape(aggs, slots,
+                               [[table] for table in outer] + [inner], widths)
+    counts = [0] * len(levels)
+    entries: dict[tuple, list] = {}
+    work = [0, 0]  # combines, enumerated tuples replaced
 
-    # group-key code arrays per side; key_slots maps each output key slot
-    # to (side, offset into that side's part-key tuple).
-    side_key_arrays: list[list] = [[] for _ in range(table_count)]
-    key_slots: list[tuple[int, int]] = []
-    for side, position in group:
-        key_slots.append((side, len(side_key_arrays[side])))
-        side_key_arrays[side].append(tables[side][position])
-    single_key = len(group) == 1
+    def fold(nodes: list, codes: list[int]) -> None:
+        virtual: dict[tuple, list] = {}
+        for code in codes:
+            done, _ = _cross([nodes[table][1][code] for table in inner],
+                             inner_shape, virtual, aggs)
+            work[0] += done
+        done, count = _cross([nodes[table] for table in outer]
+                             + [list(virtual.values())],
+                             outer_shape, entries, aggs)
+        work[0] += done
+        work[1] += count
 
-    # per-side fold steps: (spec slot, mode, codes, ranks-or-values);
-    # combine modes per spec: how a part's stat enters the group entry.
-    side_steps: list[list[tuple[int, int, Any, Any]]] = \
-        [[] for _ in range(table_count)]
-    combines: list[tuple[int, int]] = []  # (mode, side) per spec
-    for index, spec in enumerate(aggs):
-        kind = spec[0]
-        if kind == "count_star":
-            combines.append((0, 0))
-            continue
-        side = spec[1]
-        codes = tables[side][spec[2]]
-        if kind == "count":
-            side_steps[side].append((index, 0, codes, None))
-            combines.append((1, side))
-        elif kind == "count_distinct" or (kind in ("sum", "avg") and spec[3]):
-            side_steps[side].append((index, 1, codes, None))
-            combines.append((2, side))
-        elif kind in ("sum", "avg"):
-            side_steps[side].append((index, 2, codes, spec[4]))
-            combines.append((3, side))
-        else:
-            side_steps[side].append((index, 3 if kind == "min" else 4,
-                                     codes, spec[3]))
-            combines.append((4 if kind == "min" else 5, side))
-
-    groups: dict[Any, list] = {}
-    partials = 0
-    tuples = 0
-
-    def fold_block(per_table: list[list[int]]) -> None:
-        nonlocal partials, tuples
-        # partition each side by its group-key codes (insertion order =
-        # that side's first-occurrence order); sides without group keys
-        # stay one part.  Tid lists are ascending, so part[1][0] is the
-        # part's minimum tid.
-        parts_per_side: list[list[tuple[tuple, list[int]]]] = []
-        stats_per_side: list[list[dict[int, Any]]] = []
-        for side in range(table_count):
-            tids = per_table[side]
-            key_arrays = side_key_arrays[side]
-            if key_arrays:
-                parts: dict[tuple, list[int]] = {}
-                for tid in tids:
-                    part_key = tuple(codes[tid] for codes in key_arrays)
-                    bucket = parts.get(part_key)
-                    if bucket is None:
-                        parts[part_key] = [tid]
-                    else:
-                        bucket.append(tid)
-                part_list = list(parts.items())
-            else:
-                part_list = [((), tids)] if tids else []
-            steps = side_steps[side]
-            side_stats: list[dict[int, Any]] = []
-            for _, part_tids in part_list:
-                stats: dict[int, Any] = {}
-                for index, mode, codes, aux in steps:
-                    if mode == 0:    # COUNT: non-NULLs in the part
-                        stat: Any = 0
-                        for tid in part_tids:
-                            if codes[tid] != NULL_CODE:
-                                stat += 1
-                    elif mode == 1:  # code set
-                        stat = set()
-                        for tid in part_tids:
-                            code = codes[tid]
-                            if code != NULL_CODE:
-                                stat.add(code)
-                    elif mode == 2:  # exact [total, count]
-                        stat = [0, 0]
-                        for tid in part_tids:
-                            code = codes[tid]
-                            if code != NULL_CODE:
-                                stat[0] += aux[code]
-                                stat[1] += 1
-                    else:            # 3 min | 4 max
-                        stat = None
-                        for tid in part_tids:
-                            code = codes[tid]
-                            if code == NULL_CODE:
-                                continue
-                            rank = aux[code]
-                            if stat is None or (rank < stat[0] if mode == 3
-                                                else rank > stat[0]):
-                                stat = (rank, code)
-                    stats[index] = stat
-                side_stats.append(stats)
-            parts_per_side.append(part_list)
-            stats_per_side.append(side_stats)
-
-        for choice in product(*(range(len(part_list))
-                                for part_list in parts_per_side)):
-            sizes = [len(parts_per_side[side][pick][1])
-                     for side, pick in enumerate(choice)]
-            multiplier = 1
-            for size in sizes:
-                multiplier *= size
-            partials += 1
-            tuples += multiplier
-            if single_key:
-                side, offset = key_slots[0]
-                key: Any = parts_per_side[side][choice[side]][0][offset]
-            elif key_slots:
-                key = tuple(parts_per_side[side][choice[side]][0][offset]
-                            for side, offset in key_slots)
-            else:
-                key = ()
-            representative = tuple(parts_per_side[side][pick][1][0]
-                                   for side, pick in enumerate(choice))
-            entry = groups.get(key)
-            if entry is None:
-                entry = [representative] + [initial_factorised_state(spec)
-                                            for spec in aggs]
-                groups[key] = entry
-            elif representative < entry[0]:
-                entry[0] = representative
-            for index, (mode, side) in enumerate(combines, start=1):
-                if mode == 0:        # COUNT(*): the whole block
-                    entry[index] += multiplier
-                    continue
-                stat = stats_per_side[side][choice[side]][index - 1]
-                if mode == 1:        # COUNT: scale by co-sides' multiplicity
-                    entry[index] += stat * (multiplier // sizes[side])
-                elif mode == 2:      # code set: union
-                    entry[index] |= stat
-                elif mode == 3:      # [total, count] × co-sides' multiplicity
-                    scale = multiplier // sizes[side]
-                    pair_state = entry[index]
-                    pair_state[0] += stat[0] * scale
-                    pair_state[1] += stat[1] * scale
-                elif stat is not None:  # 4 min | 5 max
-                    best = entry[index]
-                    if best is None or (stat[0] < best[0] if mode == 4
-                                        else stat[0] > best[0]):
-                        entry[index] = stat
-
-    def descend(level: int, per_table: list[list[int]]) -> None:
-        if level == depth:
-            fold_block(per_table)
-            return
-        maps: list[tuple[int, dict[int, list[int]]]] = []
-        for table, members in levels[level]:
-            bound = multiway_group(tables[table], per_table[table], members)
-            if not bound:
-                return
-            maps.append((table, bound))
-        for code in gallop_intersect([sorted(bound) for _, bound in maps]):
-            counts[level] += 1
-            next_tids = list(per_table)
-            for table, bound in maps:
-                next_tids[table] = bound[code]
-            descend(level + 1, next_tids)
-
-    first_tables = [table for table, _ in levels[0]]
-    for code in candidates:
-        counts[0] += 1
-        per_table = list(base)
-        for table in first_tables:
-            per_table[table] = level_one[table][code]
-        descend(1, per_table)
-    return groups, partials, tuples, counts
+    multiway_descend(levels, query["tries"], candidates, counts, fold)
+    return _groups_of(entries, len(group) == 1), work[0], work[1], counts
 
 
 # -- discovery subset-refinement phase ---------------------------------------

@@ -51,7 +51,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError, SchemaError, SQLExecutionError
-from repro.relational.columns import NULL_CODE
+from repro.relational.columns import NO_PARTNER, NULL_CODE
 from repro.relational.expressions import (
     And,
     Arithmetic,
@@ -896,16 +896,14 @@ def build_join_buckets(plan: JoinPlan, build_side: int) -> dict[Any, list[int]]:
     pair and a code tuple otherwise; each bucket's tids are ascending
     (scan order), which is what keeps the probe output left-major.
     """
+    from repro.engine.worker import filter_tids
+
     relation = plan.relations[build_side]
-    store = relation.columns
-    key_arrays = [store.column_at(pair[build_side]).codes for pair in plan.key_pairs]
-    filters = [(store.column_at(position).codes, allowed)
-               for position, allowed in plan.filters[build_side]]
+    arrays = relation.columns.code_arrays(range(relation.schema.arity))
+    key_arrays = [arrays[pair[build_side]] for pair in plan.key_pairs]
     single = len(key_arrays) == 1
     buckets: dict[Any, list[int]] = {}
-    for tid in relation.tids():
-        if any(codes[tid] not in allowed for codes, allowed in filters):
-            continue
+    for tid in filter_tids(arrays, plan.filters[build_side], relation.tids()):
         if single:
             key: Any = key_arrays[0][tid]
             if key == NULL_CODE:
@@ -1258,78 +1256,163 @@ def _register_multi_aggregate(plan: MultiJoinPlan,
 
 def multiway_base_tids(plan: MultiJoinPlan) -> list[list[int]]:
     """Per-table live tids surviving that table's push-down filters."""
-    base: list[list[int]] = []
-    for side, relation in enumerate(plan.relations):
-        store = relation.columns
-        filters = [(store.column_at(position).codes, allowed)
-                   for position, allowed in plan.filters[side]]
-        if filters:
-            base.append([tid for tid in relation.tids()
-                         if all(codes[tid] in allowed
-                                for codes, allowed in filters)])
-        else:
-            base.append(list(relation.tids()))
-    return base
+    from repro.engine.worker import filter_tids
+
+    return [filter_tids(relation.columns.code_arrays(range(relation.schema.arity)),
+                        plan.filters[side], relation.tids())
+            for side, relation in enumerate(plan.relations)]
 
 
-def multiway_query_payload(plan: MultiJoinPlan
-                           ) -> tuple[dict[str, Any], list[int]]:
-    """The picklable ``multiway_probe`` query and the first-level candidates.
+def multiway_trie(arrays: list[list[int]], tids: list[int],
+                  path: list[list[tuple[int, Any]]],
+                  fold: tuple | None = None) -> tuple:
+    """Index one table's *tids* as a trie over the join variables in *path*.
 
-    Per level the payload carries, for each participating table, the
-    member ``(position, translation)`` pairs that map that column's codes
-    into the variable's representative dictionary.  The representative is
-    the first member; later members bridge to the *previous* member's
-    column and compose onward
-    (:meth:`~repro.relational.columns.DictionaryBridge.compose`), so every
-    hop is revalidated against its dictionaries' generation+size stamps on
-    every query.  Chaining through intermediate dictionaries is join-safe:
-    a value an intermediate member never saw has no live tuple there, so
-    the intersection would drop it regardless.
+    ``path`` holds, per variable the table joins on (chosen variable
+    order), its member ``(position, translation)`` pairs.  A tid is
+    indexed only when, at every level, all its members agree on a
+    shared-space code ``>= 1``: NULL (0) never equals anything and
+    :data:`~repro.relational.columns.NO_PARTNER` (-1) marks values the
+    variable's representative dictionary lacks, so both drop out here,
+    exactly as NULL keys drop out of hash-join buckets.  Inner nodes are
+    ``(ascending codes, code -> child)``.  A leaf holds its ascending tids
+    or, given *fold* ``(group-key code arrays, fold steps, spec count)``,
+    those tids folded into :func:`~repro.engine.worker.fold_part` parts by
+    group-key codes, in first-occurrence order.
 
-    The first variable's groups are built here (parent side) so their
-    sorted-code intersection — the candidate list the engine chunks — is
-    computed once, not per worker.
+    Built once per query from one pass over *tids*; the workers only walk
+    it, so no table is regrouped per join binding.
     """
-    from repro.engine.worker import gallop_intersect, multiway_group
+    def shared(members: list[tuple[int, Any]]) -> list[int]:
+        columns = []
+        for position, translation in members:
+            codes = arrays[position]
+            columns.append([codes[tid] for tid in tids] if translation is None
+                           else [translation[codes[tid]] for tid in tids])
+        if len(columns) == 1:
+            return columns[0]
+        return [code if all(other == code for other in others) else NO_PARTNER
+                for code, *others in zip(*columns)]
+
+    root: dict[int, Any] = {}
+    for tid, codes in zip(tids, zip(*[shared(members) for members in path])):
+        if min(codes) < 1:
+            continue
+        node = root
+        for code in codes[:-1]:
+            child = node.get(code)
+            if child is None:
+                child = node[code] = {}
+            node = child
+        leaf = node.get(codes[-1])
+        if leaf is None:
+            node[codes[-1]] = [tid]
+        else:
+            leaf.append(tid)
+
+    def freeze(node: dict[int, Any], depth: int) -> tuple:
+        if depth > 1:
+            children = {code: freeze(child, depth - 1)
+                        for code, child in node.items()}
+        elif fold is not None:
+            children = {code: fold_parts(leaf, *fold)
+                        for code, leaf in node.items()}
+        else:
+            children = node
+        return sorted(children), children
+
+    return freeze(root, len(path))
+
+
+def multiway_query_payload(plan: MultiJoinPlan, aggs: list[tuple] | None = None
+                           ) -> tuple[dict[str, Any], list[int]]:
+    """The picklable multiway query and the first-level candidates.
+
+    ``levels`` lists, per join variable in the chosen order, the tables
+    joining on it (ascending); ``tries`` holds one :func:`multiway_trie`
+    per table over the variables it joins on — tid leaves for
+    ``multiway_probe``, or, given the factorised *aggs*, leaves pre-folded
+    by group-key codes for ``factorised_fold`` (``leaves`` counts them).
+
+    Each member column's codes are translated into the variable's
+    representative dictionary: the representative is the first member;
+    later members bridge to the *previous* member's column and compose
+    onward (:meth:`~repro.relational.columns.DictionaryBridge.compose`),
+    so every hop is revalidated against its dictionaries'
+    generation+size stamps on every query.  Chaining through intermediate
+    dictionaries is join-safe: a value an intermediate member never saw
+    has no live tuple there, so the intersection would drop it regardless.
+
+    The tries are built here, parent side, once per query; the candidate
+    list the engine chunks is the intersection of the first variable's
+    trie roots.
+    """
+    from repro.engine.worker import fold_steps, gallop_intersect
 
     stores = [relation.columns for relation in plan.relations]
     arrays = [store.code_arrays(range(relation.schema.arity))
               for store, relation in zip(stores, plan.relations)]
-    levels: list[list[tuple[int, list[tuple[int, Any]]]]] = []
+    paths: list[list[list[tuple[int, Any]]]] = [[] for _ in arrays]
+    levels: list[list[int]] = []
     for members, _, _ in plan.var_order:
         chain = None  # translation of the previous member into the rep space
         previous_column = None
-        translations: list[Any] = []
+        per_side: dict[int, list[tuple[int, Any]]] = {}
         for side, position in members:
             column = stores[side].column_at(position)
             if previous_column is None:
-                translations.append(None)
+                translation = None
             else:
                 hop = column.bridge_to(previous_column)
                 chain = hop if chain is None else hop.compose(chain)
-                translations.append(chain.translation)
-            previous_column = column
-        per_side: dict[int, list[tuple[int, Any]]] = {}
-        for (side, position), translation in zip(members, translations):
+                translation = chain.translation
             per_side.setdefault(side, []).append((position, translation))
-        levels.append(sorted(per_side.items()))
+            previous_column = column
+        for side, member_list in per_side.items():
+            paths[side].append(member_list)
+        levels.append(sorted(per_side))
 
     base = multiway_base_tids(plan)
-    level_one: dict[int, dict[int, list[int]]] = {}
-    code_lists: list[list[int]] = []
-    for side, member_list in levels[0]:
-        groups = multiway_group(arrays[side], base[side], member_list)
-        level_one[side] = groups
-        code_lists.append(sorted(groups))
-    candidates = gallop_intersect(code_lists)
-    query = {
-        "levels": levels,
-        "base": [None if side in level_one else tids
-                 for side, tids in enumerate(base)],
-        "level_one": level_one,
-    }
-    return query, candidates
+    folds: list[tuple | None] = [None] * len(arrays)
+    if aggs is not None:
+        folds = [([arrays[side][position]
+                   for key_side, position in plan.group_keys if key_side == side],
+                  fold_steps(aggs, side, arrays[side]), len(aggs))
+                 for side in range(len(arrays))]
+    tries = [multiway_trie(arrays[side], base[side], paths[side], folds[side])
+             for side in range(len(arrays))]
+    query: dict[str, Any] = {"levels": levels, "tries": tries}
+    if aggs is not None:
+        query["leaves"] = sum(_leaf_count(trie, len(path))
+                              for trie, path in zip(tries, paths))
+    return query, gallop_intersect([tries[side][0] for side in levels[0]])
+
+
+def _leaf_count(node: tuple, depth: int) -> int:
+    """The number of leaves under one trie node *depth* levels deep."""
+    if depth == 1:
+        return len(node[0])
+    return sum(_leaf_count(child, depth - 1) for child in node[1].values())
+
+
+def fold_parts(tids: list[int], key_arrays: list[list[int]],
+               steps: list[tuple], width: int) -> list[list]:
+    """Ascending *tids* split by group-key codes (first-occurrence order),
+    each split folded once into a :func:`~repro.engine.worker.fold_part`."""
+    from repro.engine.worker import fold_part
+
+    if not key_arrays:
+        return [fold_part((), tids, steps, width)]
+    splits: dict[tuple, list[int]] = {}
+    for tid in tids:
+        key = tuple([codes[tid] for codes in key_arrays])
+        members = splits.get(key)
+        if members is None:
+            splits[key] = [tid]
+        else:
+            members.append(tid)
+    return [fold_part(key, members, steps, width)
+            for key, members in splits.items()]
 
 
 def multiway_fold_payload(plan: MultiJoinPlan) -> dict[str, Any]:
@@ -1350,11 +1433,12 @@ def multiway_fold_payload(plan: MultiJoinPlan) -> dict[str, Any]:
 # are semiring folds, so per-table partial aggregates per join-variable
 # binding combine by multiplication instead of enumeration (the FAQ
 # decomposition over the FDB-style factorised representation the
-# tid-group lists already are).  For the two-table hash join, build-side
-# partials fold into the buckets before any probe runs; for the multiway
-# join, the worker folds each fully bound per-table block without
-# expanding the cartesian product.  Results are byte-identical to the
-# enumerated path:
+# tid-group lists already are).  Each side folds once per join key: for
+# the two-table hash join, build-side partials fold into the buckets
+# before any probe runs and probe tids fold once per class of equal join
+# key and probe-side group codes; for the multiway join, every trie leaf
+# folds once per query and the worker only combines the folded parts.
+# Results are byte-identical to the enumerated path:
 #
 # * COUNT(*) multiplies block sizes; COUNT(col) scales the per-block
 #   non-NULL count by the co-block multiplicity (an exact integer).
@@ -1370,7 +1454,8 @@ def multiway_fold_payload(plan: MultiJoinPlan) -> dict[str, Any]:
 #   order, and float addition is not associative.
 # * The group representative (HAVING / expression items evaluate against
 #   it) is the enumerated path's first tuple: for the hash join the
-#   probe-order first (left tid, block first tid) pair, for the multiway
+#   (class first tid, block first tid) pair of the first class in probe
+#   order to meet the group, for the multiway
 #   join the per-side minima merged by lexicographic min, with groups
 #   re-sorted by representative to restore the ascending first-occurrence
 #   order of the sorted enumeration.
@@ -1447,83 +1532,25 @@ def factorised_aggregates(plan: "JoinPlan | MultiJoinPlan") -> list[tuple]:
 
 def build_factorised_buckets(plan: "JoinPlan",
                              aggs: list[tuple]) -> dict[Any, list[list]]:
-    """Build-side hash buckets with per-block partial aggregates folded in.
+    """Build-side hash buckets of pre-folded blocks.
 
     Same keying as :func:`build_join_buckets` (side 1 builds, push-down
     filters apply first, NULL join keys never match, bare code for one
-    key pair), but instead of raw tid lists each bucket holds *blocks* —
-    one per distinct build-side group-key projection, in first-occurrence
-    (scan) order: ``[part codes, first tid, size, partials]`` with one
-    pre-folded partial per spec (``None`` for probe-side specs).  Every
-    probe hit then combines a whole block in O(specs), never O(size).
+    key pair), but each bucket holds *blocks* instead of raw tids: one
+    :func:`~repro.engine.worker.fold_part` part per distinct build-side
+    group-key projection, in first-occurrence (scan) order, with the
+    build-side specs folded once.  A probe class then combines a whole
+    block in O(specs), never O(size).
     """
+    from repro.engine.worker import fold_steps
+
     relation = plan.relations[1]
-    store = relation.columns
-    key_arrays = [store.column_at(pair[1]).codes for pair in plan.key_pairs]
-    filters = [(store.column_at(position).codes, allowed)
-               for position, allowed in plan.filters[1]]
-    part_arrays = [store.column_at(position).codes
+    arrays = relation.columns.code_arrays(range(relation.schema.arity))
+    part_arrays = [arrays[position]
                    for side, position in plan.group_keys if side == 1]
-    # build-side fold steps: (spec slot, op, codes, ranks-or-values)
-    steps: list[tuple[int, int, Any, Any]] = []
-    for index, spec in enumerate(aggs):
-        kind = spec[0]
-        if kind == "count_star" or spec[1] != 1:
-            continue
-        codes = store.column_at(spec[2]).codes
-        if kind == "count":
-            steps.append((index, 0, codes, None))
-        elif kind == "count_distinct" or (kind in ("sum", "avg") and spec[3]):
-            steps.append((index, 1, codes, None))
-        elif kind in ("sum", "avg"):
-            steps.append((index, 2, codes, spec[4]))
-        else:  # min | max
-            steps.append((index, 3 if kind == "min" else 4, codes, spec[3]))
-    single = len(key_arrays) == 1
-    buckets: dict[Any, dict[Any, list]] = {}
-    for tid in relation.tids():
-        if any(codes[tid] not in allowed for codes, allowed in filters):
-            continue
-        if single:
-            key: Any = key_arrays[0][tid]
-            if key == NULL_CODE:
-                continue
-        else:
-            key_codes = [codes[tid] for codes in key_arrays]
-            if NULL_CODE in key_codes:
-                continue
-            key = tuple(key_codes)
-        part = tuple(codes[tid] for codes in part_arrays)
-        blocks = buckets.get(key)
-        if blocks is None:
-            blocks = buckets[key] = {}
-        block = blocks.get(part)
-        if block is None:
-            partials: list[Any] = [None] * len(aggs)
-            for index, op, _, _ in steps:
-                partials[index] = 0 if op == 0 else set() if op == 1 \
-                    else [0, 0] if op == 2 else None
-            block = blocks[part] = [part, tid, 0, partials]
-        block[2] += 1
-        partials = block[3]
-        for index, op, codes, aux in steps:
-            code = codes[tid]
-            if code == NULL_CODE:
-                continue
-            if op == 0:
-                partials[index] += 1
-            elif op == 1:
-                partials[index].add(code)
-            elif op == 2:
-                pair_state = partials[index]
-                pair_state[0] += aux[code]
-                pair_state[1] += 1
-            else:
-                rank = aux[code]
-                best = partials[index]
-                if best is None or (rank < best[0] if op == 3 else rank > best[0]):
-                    partials[index] = (rank, code)
-    return {key: list(blocks.values()) for key, blocks in buckets.items()}
+    steps = fold_steps(aggs, 1, arrays)
+    return {key: fold_parts(tids, part_arrays, steps, len(aggs))
+            for key, tids in build_join_buckets(plan, 1).items()}
 
 
 def factorised_join_payload(plan: "JoinPlan", aggs: list[tuple],
@@ -1556,16 +1583,13 @@ def factorised_multi_payload(plan: "MultiJoinPlan"
                              ) -> tuple[dict[str, Any], list[int]]:
     """The picklable ``factorised_fold`` query of a multiway join.
 
-    The probe shape (levels, base tids, first-variable groups) is shared
-    verbatim with :func:`multiway_query_payload`; the factorised worker
-    descends identically and folds each fully bound block instead of
-    emitting its cartesian product.
+    Same levels and candidates as :func:`multiway_query_payload`'s probe
+    query, but every trie leaf is pre-folded by its table's group-key
+    codes, so the worker walks the tries and only combines parts.
     """
-    query, candidates = multiway_query_payload(plan)
-    query = dict(query)
-    query["kind"] = "multi"
-    query["group"] = plan.group_keys
-    query["aggs"] = factorised_aggregates(plan)
+    aggs = factorised_aggregates(plan)
+    query, candidates = multiway_query_payload(plan, aggs)
+    query.update(kind="multi", group=plan.group_keys, aggs=aggs)
     return query, candidates
 
 

@@ -770,9 +770,10 @@ class SQLExecutor:
         """Run a grouped hash join by semiring folds, not enumeration.
 
         Build-side partials fold into the buckets before any probe runs
-        (:func:`build_factorised_buckets`); every probe hit then combines
-        a whole block in O(specs).  Results are byte-identical to
-        :meth:`_execute_join_plan`'s grouped branch.
+        (:func:`build_factorised_buckets`); probe tids fold once per
+        class of equal join key and probe-side group codes, and each
+        class combines each block of its bucket once.  Results are
+        byte-identical to :meth:`_execute_join_plan`'s grouped branch.
         """
         left, right = plan.relations
         aggs = factorised_aggregates(plan)
@@ -800,16 +801,16 @@ class SQLExecutor:
             from repro.engine import worker
             from repro.engine.join import JOIN_SPEC, join_state
 
-            [(seconds, (merged, partials, tuples, _))] = worker.run_local_timed(
+            [(seconds, (merged, combines, tuples, classes))] = worker.run_local_timed(
                 join_state(left, right),
                 [("factorised_fold", (JOIN_SPEC, query, left.tids()))])
             if obs.enabled:
                 obs.observe("engine.task.factorised_fold.seconds", seconds)
         else:
             engine = self._join_engine(left, right)
-            merged, partials, tuples = engine.probe_factorised(query)
+            merged, combines, tuples, classes = engine.probe_factorised(query)
 
-        self._note_factorised("join", merged, partials, tuples)
+        self._note_factorised("join", merged, combines, tuples, classes)
         return (self._join_grouped_output(plan, merged, factorised=True),
                 list(plan.names), False)
 
@@ -817,9 +818,10 @@ class SQLExecutor:
                                   ) -> tuple[list[list[Any]], list[str], bool]:
         """Run a grouped multiway join by semiring folds, not enumeration.
 
-        One fan-out instead of probe + fold: workers descend the leapfrog
-        levels and fold each fully bound block without expanding its
-        cartesian product.  Group representatives are min-merged, and the
+        One fan-out instead of probe + fold: every table's trie leaves are
+        folded once, parent side, and workers walk the tries combining
+        parts without expanding any cartesian product.  Group
+        representatives are min-merged, and the
         merged groups are re-sorted by representative — the sorted
         enumeration's first-occurrence order — so results are
         byte-identical to :meth:`_execute_multi_join_plan`'s grouped
@@ -837,7 +839,7 @@ class SQLExecutor:
             from repro.engine import worker
             from repro.engine.multijoin import MULTI_SPEC, multi_join_state
 
-            [(seconds, (merged, partials, tuples, counts))] = \
+            [(seconds, (merged, combines, tuples, counts))] = \
                 worker.run_local_timed(
                     multi_join_state(relations),
                     [("factorised_fold", (MULTI_SPEC, query, candidates))])
@@ -846,7 +848,7 @@ class SQLExecutor:
             merged = dict(sorted(merged.items(), key=lambda item: item[1][0]))
         else:
             engine = self._multi_engine(relations)
-            merged, partials, tuples, counts = \
+            merged, combines, tuples, counts = \
                 engine.probe_factorised(query, candidates)
             merged = dict(sorted(merged.items(), key=lambda item: item[1][0]))
 
@@ -868,20 +870,26 @@ class SQLExecutor:
                     in enumerate(plan.var_order)],
                 "tuples": tuples,
             }
-        self._note_factorised("multiway", merged, partials, tuples)
+        self._note_factorised("multiway", merged, combines, tuples,
+                              query["leaves"])
         return (self._join_grouped_output(plan, merged, factorised=True),
                 list(plan.names), False)
 
     def _note_factorised(self, kind: str, merged: dict[Any, list],
-                         partials: int, tuples: int) -> None:
-        """Record a factorised run's shape into obs and EXPLAIN."""
+                         combines: int, tuples: int, folded: int) -> None:
+        """Record a factorised run's shape into obs and EXPLAIN.
+
+        *folded* counts the units folded once each: probe classes of a
+        two-table join, trie leaves of a multiway one.
+        """
         if obs.enabled:
-            obs.observe("sql.factorised.partials", partials)
+            obs.observe("sql.factorised.partials", combines)
         info = self._explain
         if info is not None:
             info["factorised"] = {
                 "kind": kind,
-                "partials": partials,
+                "combines": combines,
+                "classes" if kind == "join" else "leaves": folded,
                 "tuples": tuples,
                 "groups": len(merged),
             }

@@ -87,10 +87,14 @@ def format_explain(info: dict[str, Any]) -> str:
 
     factorised = info.get("factorised")
     if factorised:
+        folded = (f"{factorised['classes']} probe class(es)"
+                  if factorised["kind"] == "join"
+                  else f"{factorised['leaves']} trie leaf/leaves")
         lines.append(
-            f"factorised aggregates: {factorised['partials']} semiring "
-            f"fold(s) over {factorised['groups']} group(s) instead of "
-            f"{factorised['tuples']} enumerated tuple(s)")
+            f"factorised aggregates: {factorised['combines']} semiring "
+            f"combine(s) over {factorised['groups']} group(s), {folded} "
+            f"folded once each, instead of {factorised['tuples']} "
+            f"enumerated tuple(s)")
 
     if plan != "code":
         _append_reasons(lines, "why not code-native scan:",

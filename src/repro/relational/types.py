@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from typing import Any
 
 from repro.errors import TypeMismatchError
@@ -172,16 +173,24 @@ def value_repr(value: Any) -> str:
     return str(value)
 
 
+#: a number written with a leading zero before another digit (``01``, ``-007``).
+_LEADING_ZERO = re.compile(r"\s*[+-]?0\d")
+
+
 def infer_type(values: list[Any]) -> AttributeType:
     """Infer the narrowest :class:`AttributeType` that fits all *values*.
 
     Used by CSV import when no schema is supplied.  NULLs and empty
     strings are ignored during inference; an all-NULL column defaults to
-    STRING.
+    STRING.  A text with a leading zero before another digit (``01``,
+    ``-007``) fits neither INTEGER nor FLOAT: parsing would drop the zero,
+    so a code like a country code would not survive a load/write round
+    trip.
     """
     non_null = [v for v in values if not is_null(v) and v != ""]
     if not non_null:
         return AttributeType.STRING
+    numeric = not any(isinstance(v, str) and _LEADING_ZERO.match(v) for v in non_null)
 
     def fits(attr_type: AttributeType) -> bool:
         for value in non_null:
@@ -192,7 +201,7 @@ def infer_type(values: list[Any]) -> AttributeType:
         return True
 
     for candidate in (AttributeType.INTEGER, AttributeType.FLOAT, AttributeType.BOOLEAN):
-        if fits(candidate):
+        if (numeric or candidate is AttributeType.BOOLEAN) and fits(candidate):
             return candidate
     return AttributeType.STRING
 

@@ -79,11 +79,22 @@ class TestDirectDetection:
         assert all(NULL not in
                    [customer.tuple(t)["zip"] for t in v.tids] for v in report)
 
-    def test_null_rhs_counts_as_disagreement(self, customer):
+    @pytest.mark.parametrize("use_columns", [True, False])
+    def test_null_rhs_disagrees_with_nothing(self, customer, use_columns):
+        # SQL's COUNT(DISTINCT street) skips the NULL: no violation yet
         tid = customer.insert_dict({"cc": "44", "zip": "G1", "street": "high st"})
-        customer.insert_dict({"cc": "44", "zip": "G1", "street": NULL})
-        report = detect_cfd_violations(customer, [UK_CFD])
-        assert any(tid in v.tids for v in report)
+        null_tid = customer.insert_dict({"cc": "44", "zip": "G1", "street": NULL})
+        report = detect_cfd_violations(customer, [UK_CFD], use_columns=use_columns)
+        assert not any(tid in v.tids for v in report)
+        # a second non-NULL street makes the whole group violate, NULL
+        # member included, but only the two disagreeing streets pair up
+        other = customer.insert_dict({"cc": "44", "zip": "G1", "street": "low st"})
+        report = detect_cfd_violations(customer, [UK_CFD], use_columns=use_columns)
+        assert (tid, null_tid, other) in {v.tids for v in report}
+        pairs = detect_cfd_violations(customer, [UK_CFD], enumerate_pairs=True,
+                                      use_columns=use_columns)
+        assert (tid, other) in {v.tids for v in pairs}
+        assert not any(null_tid in v.tids for v in pairs)
 
     def test_enumerate_pairs_mode(self, customer):
         report = detect_cfd_violations(customer, [UK_CFD], enumerate_pairs=True)

@@ -15,7 +15,10 @@ no code with :mod:`repro.detection`:
 
 The session is held across interleaved inserts, updates and deletes, so
 the detector it keeps between ``detect()`` calls (SQL engine, LHS
-indexes) is checked after every write batch.
+indexes) is checked after every write batch.  The direct
+:class:`~repro.detection.cfd_detect.CFDDetector` — sequential, chunked
+serial and ``engine="parallel"`` — is held the same way and checked
+against the same oracle: every detector shares the SQL definition.
 """
 
 from collections import Counter
@@ -25,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints.cfd import CFD
+from repro.detection.cfd_detect import CFDDetector
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
@@ -137,3 +141,22 @@ def test_session_detect_matches_definition(rows, constraints, rounds):
         current = {tid: dict(zip(ATTRIBUTES, values))
                    for tid, values in relation.rows_items()}
         assert observed(session.detect(), registered) == oracle(current, constraints)
+
+
+@given(rows=st.lists(ROW, max_size=10), constraints=st.lists(specs(), min_size=1, max_size=3),
+       rounds=st.lists(WRITES, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_direct_detect_matches_definition(rows, constraints, rounds):
+    relation = Relation.from_rows(SCHEMA, rows)
+    cfds = [CFD("r", lhs, rhs, patterns) for lhs, rhs, patterns in constraints]
+    detectors = [CFDDetector(relation, cfds),
+                 CFDDetector(relation, cfds, engine="serial"),
+                 CFDDetector(relation, cfds, engine="parallel", workers=2)]
+    for writes in [[]] + rounds:
+        for write in writes:
+            apply_write(relation, write)
+        current = {tid: dict(zip(ATTRIBUTES, values))
+                   for tid, values in relation.rows_items()}
+        expected = oracle(current, constraints)
+        for detector in detectors:
+            assert observed(detector.detect(), cfds) == expected

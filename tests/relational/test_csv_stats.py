@@ -56,6 +56,21 @@ class TestCSV:
         assert len(back) == len(relation)
         assert back.schema.attribute_names == relation.schema.attribute_names
 
+    def test_leading_zeros_survive_load_and_write(self, tmp_path):
+        # cc holds 01 and zip holds 07974: both stay text, so the file
+        # written back is the file read, byte for byte
+        path = tmp_path / "customer.csv"
+        path.write_text(CSV_TEXT, encoding="utf-8")
+        relation = read_csv(path, "customer")
+        types = {a.name: a.type for a in relation.schema.attributes}
+        assert types["cc"] is AttributeType.STRING
+        assert types["zip"] is AttributeType.STRING
+        assert types["ac"] is AttributeType.INTEGER
+        assert relation.tuples()[2]["cc"] == "01"
+        out = tmp_path / "out.csv"
+        relation_to_csv(relation, out)
+        assert out.read_text(encoding="utf-8") == CSV_TEXT
+
     def test_nulls_written_as_empty_fields(self):
         schema = RelationSchema("r", [Attribute("a"), Attribute("b")])
         relation = Relation.from_dicts(schema, [{"a": "x", "b": NULL}])

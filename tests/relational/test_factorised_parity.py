@@ -358,8 +358,192 @@ class TestFactorisedPlanGate:
         assert code.last_plan == "factorised"
         assert "plan: factorised" in report
         assert "factorised aggregates:" in report
-        assert "semiring fold(s)" in report
+        assert "semiring combine(s)" in report
+        assert "trie leaf/leaves folded once each" in report
         block = code.last_explain["factorised"]
         assert block["kind"] == "multiway"
-        assert block["partials"] >= block["groups"] >= 1
+        assert block["combines"] >= block["groups"] >= 1
+        assert block["leaves"] >= 1
         assert block["tuples"] >= block["groups"]
+
+
+def assert_parity(database: Database, sql: str) -> None:
+    """Factorised == enumerated == row, in process and at every chunk size."""
+    from repro.engine.executor import SerialPool
+    from repro.relational.sql.executor import SQLExecutor
+    from repro.relational.sql.parser import parse_sql
+
+    expected = fingerprint(SQLEngine(database, use_columns=False).query(sql))
+    code = SQLEngine(database)
+    assert enumerated_fingerprint(code, sql) == expected, sql
+    assert fingerprint(code.query(sql)) == expected, sql
+    assert code.last_plan == "factorised", sql
+    for chunks in (1, 2, 7, 1000):
+        executor = SQLExecutor(database, pool=SerialPool(num_chunks=chunks))
+        assert fingerprint(executor.execute(parse_sql(sql))) == expected, (chunks, sql)
+
+
+class TestFactorisedShapes:
+    """Group keys on either side and NULL-heavy keys and arguments."""
+
+    PAIR = "FROM orders o JOIN zips z ON o.zip = z.zip"
+    CHAIN = ("FROM orders o, zips z, regions r "
+             "WHERE o.zip = z.zip AND z.region = r.region")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_probe_side_group_keys(self, seed):
+        database = random_database(seed, orders=80, zips=30)
+        assert_parity(database, "SELECT o.city, o.amount, COUNT(*) AS n, "
+                                "SUM(z.pop) AS s, MIN(z.region) AS lo "
+                                f"{self.PAIR} GROUP BY city, amount")
+        assert_parity(database, "SELECT o.city, COUNT(*) AS n, MAX(z.pop) AS hi, "
+                                f"AVG(o.amount) AS a {self.CHAIN} GROUP BY city")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_side_group_keys(self, seed):
+        database = random_database(seed, orders=80, zips=30)
+        assert_parity(database, "SELECT z.region, o.city, COUNT(*) AS n, "
+                                "COUNT(DISTINCT o.amount) AS d, SUM(o.amount) AS s "
+                                f"{self.PAIR} GROUP BY region, city")
+        assert_parity(database, "SELECT r.country, o.city, z.pop, COUNT(*) AS n, "
+                                "SUM(o.amount) AS s, MAX(r.country) AS c "
+                                f"{self.CHAIN} GROUP BY country, city, pop")
+
+    def test_null_and_no_partner_keys_on_every_join(self):
+        # half the orders carry a NULL zip or one zips lacks, half the
+        # zips a NULL region or one regions lacks: classes and trie
+        # leaves must drop exactly the tuples the enumerated join drops
+        rng = random.Random(5)
+        database = random_database(5, orders=60, zips=30, regions=12)
+        orders = database.relation("orders")
+        zips = database.relation("zips")
+        for tid in orders.tids()[::2]:
+            orders.update(tid, "zip", rng.choice([NULL, "XXXX", "WC1"]))
+        for tid in zips.tids()[::2]:
+            zips.update(tid, "region", rng.choice([NULL, "atlantis"]))
+        assert_parity(database, "SELECT z.region, COUNT(*) AS n, SUM(o.amount) AS s "
+                                f"{self.PAIR} GROUP BY region")
+        assert_parity(database, "SELECT r.country, COUNT(*) AS n, MIN(o.city) AS c "
+                                f"{self.CHAIN} GROUP BY country")
+
+    def test_count_of_null_probe_values(self):
+        database = random_database(8, orders=60, zips=25)
+        orders = database.relation("orders")
+        for tid in orders.tids()[::3]:
+            orders.update(tid, "amount", NULL)
+        for shape in (self.PAIR, self.CHAIN):
+            assert_parity(database, "SELECT o.city, COUNT(o.amount) AS c, "
+                                    "COUNT(*) AS n, SUM(o.amount) AS s, "
+                                    f"AVG(o.amount) AS a {shape} GROUP BY city")
+
+
+class TestFactorisedWorkBounds:
+    """The folds do work per join key, never per tuple or per candidate.
+
+    No timing: the bounds are counted, so a return to per-candidate
+    regrouping (or to one combine per probe tuple) fails here.
+    """
+
+    @staticmethod
+    def _database(zips: int, orders: int = 400) -> Database:
+        # every order meets every zips row of its zip, and every zip
+        # meets every regions row of its region: many candidates per level
+        database = Database()
+        pool = [f"z{i}" for i in range(zips)]
+        regions = [f"r{i}" for i in range(max(2, zips // 3))]
+        rng = random.Random(zips)
+        database.add(Relation.from_rows(ORDERS, [
+            (rng.choice(CITY_POOL), rng.choice(pool), rng.choice(COUNTRY_POOL),
+             rng.randrange(50), 1.0) for _ in range(orders)]))
+        database.add(Relation.from_rows(ZIPS, [
+            (rng.choice(pool), rng.choice(regions), rng.randrange(9))
+            for _ in range(3 * zips)]))
+        database.add(Relation.from_rows(REGIONS, [
+            (region, rng.choice(COUNTRY_POOL), 1.0) for region in regions * 2]))
+        return database
+
+    CHAIN = ("SELECT r.country, COUNT(*) AS n, SUM(o.amount) AS s, "
+             "MAX(z.pop) AS hi FROM orders o, zips z, regions r "
+             "WHERE o.zip = z.zip AND z.region = r.region GROUP BY country")
+
+    @pytest.mark.parametrize("zips", [3, 12, 40])
+    @pytest.mark.parametrize("factorise", [True, False])
+    def test_multiway_indexes_each_table_once_per_query(self, monkeypatch,
+                                                        zips, factorise):
+        from repro.engine.executor import SerialPool
+        from repro.relational.sql.executor import SQLExecutor
+        from repro.relational.sql.parser import parse_sql
+
+        built = []
+        trie = columnar.multiway_trie
+        monkeypatch.setattr(columnar, "multiway_trie",
+                            lambda *args: built.append(args[1]) or trie(*args))
+        monkeypatch.setattr(columnar, "FACTORISE", factorise)
+        database = self._database(zips)
+        for pool in (None, SerialPool(num_chunks=7)):
+            built.clear()
+            executor = SQLExecutor(database, pool=pool)
+            executor.execute(parse_sql(self.CHAIN), explain=True)
+            levels = executor.last_explain["multiway"]["order"]
+            assert levels[0]["candidates"] > 1
+            # one trie per table and query, whatever the candidate count
+            # and chunking
+            assert len(built) == 3
+
+    def test_multiway_workers_never_read_the_tables(self, monkeypatch):
+        # the tries carry every tid (probe) and every pre-folded partial
+        # (factorised fold): a worker that regrouped tables per candidate
+        # would have to read the broadcast code arrays
+        from repro.engine import multijoin
+
+        class Unreadable:
+            def __getitem__(self, index):
+                raise AssertionError("worker read a broadcast code array")
+
+        monkeypatch.setattr(multijoin, "multi_join_state",
+                            lambda relations: {multijoin.MULTI_SPEC:
+                                               {"tables": Unreadable()}})
+        database = self._database(12)
+        row = SQLEngine(database, use_columns=False)
+        code = SQLEngine(database, engine="sequential")
+        plain = ("SELECT o.city, r.country FROM orders o, zips z, regions r "
+                 "WHERE o.zip = z.zip AND z.region = r.region")
+        for sql, plan in ((self.CHAIN, "factorised"), (plain, "multiway")):
+            assert fingerprint(code.query(sql)) == fingerprint(row.query(sql))
+            assert code.last_plan == plan
+
+    @pytest.mark.parametrize("probe_key", ["", "o.city, "])
+    def test_two_table_fold_combines_classes_times_blocks(self, probe_key):
+        database = self._database(8, orders=300)
+        sql = (f"SELECT {probe_key}z.pop, COUNT(*) AS n, SUM(o.amount) AS s "
+               "FROM orders o JOIN zips z ON o.zip = z.zip "
+               f"GROUP BY {probe_key}pop")
+        # expected from the rows: probe classes are (zip, probe group
+        # codes) among orders with a partner, blocks the distinct pops of
+        # a zip's zips rows; one combine per class and block
+        orders = database.relation("orders")
+        zips = database.relation("zips")
+        blocks: dict = {}
+        for row in zips.tuples():
+            blocks.setdefault(row["zip"], set()).add(row["pop"])
+        classes = {(row["zip"], row["city"] if probe_key else None)
+                   for row in orders.tuples() if row["zip"] in blocks}
+        code = SQLEngine(database, engine="sequential")
+        code.query(sql, explain=True)
+        assert code.last_plan == "factorised"
+        block = code.last_explain["factorised"]
+        assert block["classes"] == len(classes)
+        assert block["combines"] == sum(len(blocks[zip_]) for zip_, _ in classes)
+        assert block["combines"] < block["tuples"]
+        # chunks fold their own classes: at most one class per chunk
+        # and key, never one per probe tuple
+        from repro.engine.executor import SerialPool
+        from repro.relational.sql.executor import SQLExecutor
+        from repro.relational.sql.parser import parse_sql
+
+        executor = SQLExecutor(database, pool=SerialPool(num_chunks=7))
+        executor.execute(parse_sql(sql), explain=True)
+        chunked = executor.last_explain["factorised"]
+        assert len(classes) <= chunked["classes"] <= 7 * len(classes)
+        assert chunked["combines"] <= chunked["classes"] * max(map(len, blocks.values()))
+        assert chunked["tuples"] == block["tuples"]

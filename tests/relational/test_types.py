@@ -99,6 +99,14 @@ class TestInference:
     def test_boolean_column(self):
         assert infer_type(["true", "false"]) is AttributeType.BOOLEAN
 
+    def test_leading_zero_numbers_stay_text(self):
+        assert infer_type(["01", "44"]) is AttributeType.STRING
+        assert infer_type(["-007", "3"]) is AttributeType.STRING
+        assert infer_type(["+05.5"]) is AttributeType.STRING
+        # a lone zero, a zero before the point and a bare 0/1 flag still parse
+        assert infer_type(["0", "10"]) is AttributeType.INTEGER
+        assert infer_type(["0.5", "-0.25"]) is AttributeType.FLOAT
+
     def test_all_null_defaults_to_string(self):
         assert infer_type([None, "", NULL]) is AttributeType.STRING
 
